@@ -136,8 +136,15 @@ def cp_als(
     An on-disk :class:`~repro.io.binfile.MmapCooTensor` runs the sweeps
     out of core: every MTTKRP and the norm go through
     :mod:`repro.perf.ooc`, so resident memory stays bounded by the
-    out-of-core budget plus the factor matrices.  The out-of-core path
-    is COO-only — ``use_hicoo`` and ``variant`` raise ``ValueError``.
+    out-of-core budget plus the factor matrices.  Each MTTKRP streams
+    the file in budget-sized steps, range-checks every step's
+    coordinates (a corrupt index raises
+    :class:`~repro.errors.BinaryFormatError`), and adds each step into
+    one output through the compiled scatter-accumulate kernel — its
+    result is bit-identical to the in-RAM compiled COO MTTKRP, with the
+    numpy step path as the fallback when nothing can be compiled.  The
+    out-of-core path is serial and COO-only: ``num_threads`` does not
+    apply to it, and ``use_hicoo`` and ``variant`` raise ``ValueError``.
 
     ``fused_gram=True`` routes each mode update through the compiled
     fused MTTKRP+Gram kernel (:func:`repro.perf.jit.mttkrp_gram_coo`),

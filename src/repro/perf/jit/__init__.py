@@ -40,6 +40,7 @@ from .build import (
 )
 from .kernels import (
     mttkrp_coo,
+    mttkrp_coo_accumulator,
     mttkrp_coo_mt,
     mttkrp_gram_coo,
     mttkrp_hicoo,
@@ -71,6 +72,7 @@ __all__ = [
     "profile_supported",
     "reset",
     "mttkrp_coo",
+    "mttkrp_coo_accumulator",
     "mttkrp_coo_mt",
     "mttkrp_gram_coo",
     "mttkrp_hicoo",

@@ -16,7 +16,9 @@ tensor ``order`` and factor ``rank`` are baked into the source (the
 compiler fully unrolls the rank loop), while array extents stay runtime
 arguments.  Dtypes are fixed by the formats layer — float32 values,
 int32 coordinates, int64 offsets, uint8 element indices — and appear
-literally in the signatures.
+literally in the signatures.  The one exception is the serial
+out-of-core step kernel (:func:`mttkrp_coo_accum_artifact`), which
+takes coordinates at the int64 width REPROBIN files store.
 
 Every generator returns ``(function_name, c_source)``; the build layer
 hashes the source, so two calls asking for the same specialization reuse
@@ -388,6 +390,85 @@ def mttkrp_coo_source(order: int, rank: int) -> Tuple[str, str]:
 
 
 mttkrp_coo_source.__doc__ = mttkrp_coo_artifact.__doc__
+
+
+def mttkrp_coo_accum_artifact(order: int, rank: int) -> KernelArtifact:
+    """Scatter-accumulate COO MTTKRP over nonzeros in storage order.
+
+    The out-of-core step kernel: one pass over ``[e0, e1)`` adding each
+    nonzero's ``v * row0[r] * row1[r] ...`` (non-mode factors in
+    ascending order, exactly the product :func:`mttkrp_coo_artifact`
+    writes) into a ``double`` output that persists across calls.  Index
+    rows are the int64 rows a REPROBIN range read yields, output mode
+    last (``idx{order - 1}``), so no mode-sort plan is needed.  Each
+    output row sees its nonzeros in storage order — the order the
+    stable mode sort gives the segmented kernel — so summing every step
+    into one output and casting once reproduces that kernel bit for bit
+    under any step partition.  Rows are not owned by a unit, so the
+    kernel is serial-only.
+    """
+    order = _check_order(order, minimum=2)
+    rank = _check_rank(rank)
+    k = order - 1
+    name = f"repro_mttkrp_coo_accum_o{order}_r{rank}"
+    idx_args = ", ".join(f"const i64 *restrict idx{m}" for m in range(order))
+    fac_args = ", ".join(f"const f32 *restrict fac{m}" for m in range(k))
+    gather = "\n".join(
+        f"        const f32 *restrict row{m} = "
+        f"fac{m} + {_gather_offset(f'idx{m}[e]', rank)};"
+        for m in range(k)
+    )
+    product = " * ".join(f"(f64)row{m}[r]" for m in range(k))
+    store = _store_offset(f"idx{k}[e]", rank)
+    source = f"""{_PRELUDE}
+void {name}(i64 e0, i64 e1,
+            const f32 *restrict vals,
+            {idx_args},
+            {fac_args},
+            f64 *restrict out)
+{{
+    {_loop("i64", "e", "e0", "e1")} {{
+{gather}
+        const f64 v = (f64)vals[e];
+        f64 *restrict orow = out + {store};
+        {_loop("int", "r", "0", rank)}
+            orow[r] += v * {product};
+    }}
+}}
+"""
+    symbols = {"nnz": CAP_COUNT}
+    symbols.update({f"dim{m}": CAP_I32 for m in range(order)})
+    effects = EffectSummary(
+        kernel="mttkrp_coo_accum",
+        name=name,
+        order=order,
+        rank=rank,
+        unit_var="e",
+        symbols=symbols,
+        params=(
+            *_unit_params("e0", "e1", "nnz"),
+            Param("vals", "const f32 *", extent="nnz"),
+            *(Param(f"idx{m}", "const i64 *", extent="nnz",
+                    value_min="0", value_max=f"dim{m} - 1")
+              for m in range(order)),
+            *(Param(f"fac{m}", "const f32 *", extent=f"dim{m} * {rank}")
+              for m in range(k)),
+            Param("out", "f64 *", extent=f"dim{k} * {rank}"),
+        ),
+        loops=(
+            Loop("e", "e0", "e1"),
+            Loop("r", "0", str(rank), "int"),
+        ),
+        accesses=(
+            Access("vals", "e", 1, "load"),
+            *(Access(f"idx{m}", "e", 1, "load") for m in range(order)),
+            *(Access(f"fac{m}", _gather_offset(f"idx{m}[e]", rank),
+                     rank, "load") for m in range(k)),
+            Access("out", store, rank, "store"),
+        ),
+        ownership=("serial",),
+    )
+    return KernelArtifact(name, source, effects)
 
 
 def _hicoo_symbols(order: int) -> Dict[str, int]:
@@ -1057,6 +1138,7 @@ def registered_artifacts(
     for order in orders:
         for rank in ranks:
             artifacts.append(mttkrp_coo_artifact(order, rank))
+            artifacts.append(mttkrp_coo_accum_artifact(order, rank))
             artifacts.append(mttkrp_hicoo_artifact(order, rank))
             artifacts.append(mttkrp_hicoo_owned_artifact(order, rank))
             artifacts.append(mttkrp_coo_gram_artifact(order, rank))

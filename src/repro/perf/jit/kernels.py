@@ -33,7 +33,7 @@ semantics bit-for-bit.
 from __future__ import annotations
 
 import ctypes
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -229,6 +229,50 @@ def mttkrp_coo_mt(
         out,
     )
     return out
+
+
+def mttkrp_coo_accumulator(
+    order: int, rank: int, factors: Sequence[np.ndarray], mode: int
+) -> Optional[Callable[[np.ndarray, np.ndarray, np.ndarray], None]]:
+    """Compiled scatter-accumulate MTTKRP step; ``None`` when unavailable.
+
+    Returns ``step(indices, values, out)``, which adds the MTTKRP of the
+    nonzeros ``(indices, values)`` — int64 ``(order, n)`` coordinates
+    and float32 values in storage order — into the float64 ``out``
+    (``shape[mode] x rank``).  The kernel is resolved and the factors
+    marshaled once, so a caller streaming many steps pays neither per
+    step.  Summing every step of a partition into one ``out`` and
+    casting to float32 once is bit-identical to :func:`mttkrp_coo` on
+    the whole tensor.  Coordinates must already be range-checked: the
+    kernel indexes the factors and ``out`` with them unchecked.
+    """
+    if order < 2 or rank < 1:
+        return None
+    artifact = codegen.mttkrp_coo_accum_artifact(order, rank)
+    argtypes = (
+        [_I64, _I64, _PTR_F32]
+        + [_PTR_I64] * order
+        + [_PTR_F32] * (order - 1)
+        + [_PTR_F64]
+    )
+    fn = build.load_function(artifact.name, artifact.source, argtypes)
+    if fn is None:
+        return None
+    non_mode = [m for m in range(order) if m != mode]
+    fac_arrays = [_f32(factors[m]) for m in non_mode]
+    rows = (*non_mode, mode)  # codegen convention: output mode last
+
+    def step(indices: np.ndarray, values: np.ndarray, out: np.ndarray) -> None:
+        fn(
+            0,
+            values.shape[0],
+            _f32(values),
+            *(_i64(indices[m]) for m in rows),
+            *fac_arrays,
+            out,
+        )
+
+    return step
 
 
 def _mttkrp_hicoo_fn(order: int, rank: int):

@@ -13,19 +13,35 @@ tensor size:
   ``dynamic`` partitioner from :mod:`repro.perf.partition` — fixed-size
   element chunks sized so one step's read buffers, sort artifacts, and
   Khatri-Rao temporaries fit in about half the budget;
-* each step's mode-sort plan is memoized in the plan cache under the
-  structural kind ``"ooc_chunk"``, keyed ``(mode, e0, e1)`` on top of
-  the tensor's file-state token.  A step whose plan is warm reads only
-  the *values* of its range (:meth:`MmapCooTensor.read_values` — a
-  quarter of the bytes), which is what makes multi-sweep CP-ALS cheap.
-  A module-level LRU bounds the resident bytes of those plans to one
-  budget, evicting the oldest via :meth:`PlanCache.evict`.
+* every step's coordinates are **range-checked** against the tensor
+  shape as they are read, on every backend, so a corrupt index in the
+  file raises :class:`~repro.errors.BinaryFormatError` naming the mode
+  and element range instead of reaching a kernel.
 
-The kernels accumulate in float64 exactly like their in-RAM
-counterparts; only the *association* of the per-step partial sums
-differs, so results match the in-RAM kernels to floating-point
-tolerance (bit-for-bit when a single step covers the tensor).  Outputs
-(a dense factor-sized matrix for MTTKRP, the reduced sparse tensor for
+MTTKRP runs each step through one call of the compiled
+scatter-accumulate kernel
+(:func:`repro.perf.jit.kernels.mttkrp_coo_accumulator`): the step's
+nonzeros are added, in file order, into one float64 output that is cast
+to float32 once at the end.  Every output row therefore sums its
+nonzeros in exactly the order the in-RAM segmented kernel does, so the
+result is bit-identical to the in-RAM compiled
+:func:`~repro.perf.jit.kernels.mttkrp_coo` for *any* step partition.
+
+Without a compiler (or under ``REPRO_JIT=0``) MTTKRP falls back to a
+numpy step path: each step's mode-sort plan is memoized in the plan
+cache under the structural kind ``"ooc_chunk"``, keyed ``(mode, e0,
+e1)`` on top of the tensor's file-state token.  A step whose plan is
+warm reads only the *values* of its range
+(:meth:`MmapCooTensor.read_values` — a quarter of the bytes).  A
+module-level LRU bounds the resident bytes of those plans to one
+budget, evicting the oldest via :meth:`PlanCache.evict`.  The fallback
+accumulates in float64 like the in-RAM kernels; only the *association*
+of the per-step partial sums differs, so it matches them to
+floating-point tolerance (bit-for-bit when a single step covers the
+tensor).
+
+TTV and TTM merge per-step partials of the in-RAM kernels.  Outputs (a
+dense factor-sized matrix for MTTKRP, the reduced sparse tensor for
 TTV/TTM) are assumed to fit in RAM — out-of-core applies to the *input*
 nonzeros.
 """
@@ -39,6 +55,7 @@ from typing import Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..errors import BinaryFormatError
 from .partition import KIND_PARTITION, ChunkPlan, build_element_chunk_plan
 from .plan_cache import cache_enabled, get_plan_cache
 from .plans import ModeSortPlan, _build_mode_sort
@@ -228,16 +245,37 @@ def _lru_note(
         cache.evict(_TokenHandle(old_token), KIND_OOC_CHUNK, old_key)
 
 
+def _read_checked(x: object, e0: int, e1: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``x.read_range(e0, e1)`` with every coordinate checked in range.
+
+    Stored coordinates reach a kernel only through here.  Viewing each
+    int64 row as unsigned folds the two bounds into one reduction: a
+    negative coordinate wraps to a value no dimension can exceed.
+    """
+    idx, raw = x.read_range(e0, e1)
+    for m, dim in enumerate(x.shape):
+        row = idx[m]
+        if row.size and int(row.view(np.uint64).max()) >= dim:
+            bad = int(np.flatnonzero(row.view(np.uint64) >= dim)[0])
+            raise BinaryFormatError(
+                f"{getattr(x, 'path', 'tensor')}: mode {m} coordinate "
+                f"{int(row[bad])} at element {e0 + bad} is outside "
+                f"[0, {dim}) (step [{e0}, {e1})) — data is corrupt"
+            )
+    return idx, raw
+
+
 def _step_mode_sort(
     x: object, mode: int, e0: int, e1: int, budget: int
 ) -> Tuple[ModeSortPlan, np.ndarray]:
     """The step's mode-sort plan plus its values in plan sort order.
 
     On a plan-cache hit only the values of ``[e0, e1)`` are read from
-    disk; a miss reads the full range and builds (and caches) the plan.
+    disk; a miss reads (and range-checks) the full range and builds
+    (and caches) the plan.
     """
     if not cache_enabled():
-        idx, raw = x.read_range(e0, e1)
+        idx, raw = _read_checked(x, e0, e1)
         plan = _build_mode_sort(idx, mode)
         return plan, plan.sorted_values(raw)
     cache = get_plan_cache()
@@ -245,7 +283,7 @@ def _step_mode_sort(
     fresh: Dict[str, np.ndarray] = {}
 
     def build() -> ModeSortPlan:
-        idx, raw = x.read_range(e0, e1)
+        idx, raw = _read_checked(x, e0, e1)
         fresh["values"] = raw
         return _build_mode_sort(idx, mode)
 
@@ -280,23 +318,33 @@ def _steps(x: object, plan: ChunkPlan) -> Iterator[Tuple[int, int]]:
 
 
 def mttkrp(x: object, factors, mode: int) -> np.ndarray:
-    """Out-of-core MTTKRP: segmented reduction one bounded step at a time.
+    """Out-of-core MTTKRP: one bounded, range-checked step at a time.
 
-    Per step: gather the Khatri-Rao columns of the step's nonzeros in
+    Compiled path: each step's nonzeros go through one scatter-accumulate
+    call into a float64 output, cast to float32 once — bit-identical to
+    the in-RAM compiled kernel under any step partition.  Numpy
+    fallback: gather the Khatri-Rao columns of the step's nonzeros in
     mode-sorted order, ``reduceat`` them in float64, and add the partial
-    into the dense output — additive over any partition of the nonzeros,
-    so the result matches the in-RAM kernel to float tolerance.
+    into the output — additive over any partition of the nonzeros, so
+    the result matches the in-RAM kernel to float tolerance.
     """
     from ..core.mttkrp import _khatri_rao_cols_sorted, check_factors
     from ..formats.coo import VALUE_DTYPE
     from ..formats.modes import check_mode
+    from .jit.kernels import mttkrp_coo_accumulator
 
     mode = check_mode(len(x.shape), mode)
     factors = check_factors(x.shape, factors)
     rank = factors[0].shape[1]
     budget = get_memory_budget()
+    steps = _steps(x, iteration_plan(x, rank, budget=budget))
     out = np.zeros((x.shape[mode], rank), dtype=np.float64)
-    for e0, e1 in _steps(x, iteration_plan(x, rank, budget=budget)):
+    accumulate = mttkrp_coo_accumulator(len(x.shape), rank, factors, mode)
+    if accumulate is not None:
+        for e0, e1 in steps:
+            accumulate(*_read_checked(x, e0, e1), out)
+        return out.astype(VALUE_DTYPE)
+    for e0, e1 in steps:
         plan, svals = _step_mode_sort(x, mode, e0, e1, budget)
         cols = _khatri_rao_cols_sorted(
             plan.sorted_indices, svals, factors, mode

@@ -41,7 +41,7 @@ def rules_of(findings):
 def test_full_registered_matrix_is_clean():
     report = check_kernels()
     assert report.kernels == len(report.names)
-    assert report.kernels >= 40  # 4 MTTKRP variants x 9 + TTM/TTV/TEW
+    assert report.kernels >= 49  # 5 MTTKRP variants x 9 + TTM/TTV/TEW
     assert report.findings == []
 
 
@@ -113,6 +113,27 @@ def test_drill_narrowed_index(monkeypatch):
     assert RULE_WIDTH in rules_of(findings)
 
 
+def test_drill_narrowed_accumulate_store(monkeypatch):
+    """An i32 row offset on the out-of-core accumulate store can overflow.
+
+    The step kernel's index rows are int64, so merely dropping the
+    ``(i64)`` cast keeps the product 64-bit and is rightly not flagged;
+    narrowing the row to ``(i32)`` before scaling by the rank is the
+    real defect.
+    """
+    art = codegen.mttkrp_coo_accum_artifact(3, 4)
+    assert art.effects.ownership == ("serial",)
+    assert check_artifact(art) == []
+    monkeypatch.setattr(
+        codegen, "_store_offset", lambda index, scale: f"(i32){index} * {scale}"
+    )
+    bugged = codegen.mttkrp_coo_accum_artifact(3, 4)
+    assert "out + (i32)idx2[e] * 4" in bugged.source
+    findings = check_artifact(bugged)
+    assert rules_of(findings) == {RULE_WIDTH}
+    assert "store out" in findings[0].message
+
+
 def test_drill_serial_kernel_gains_par_entry():
     """A ``_par`` entry the summary doesn't declare is a contract break."""
     art = codegen.mttkrp_hicoo_artifact(3, 4)
@@ -163,7 +184,7 @@ def test_cli_kernelcheck_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert set(payload) == {"kernels", "findings", "baselined"}
     assert payload["findings"] == []
-    assert payload["kernels"] == 10  # 4 MTTKRP + TTM + TTV + 4 TEW
+    assert payload["kernels"] == 11  # 5 MTTKRP + TTM + TTV + 4 TEW
 
 
 def test_cli_kernelcheck_list_kernels(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -14,13 +15,40 @@ from repro.apps import cp_als
 from repro.core.mttkrp import mttkrp_coo
 from repro.core.ttm import ttm_coo
 from repro.core.ttv import ttv_coo
+from repro.errors import BinaryFormatError
 from repro.formats import CooTensor
 from repro.io import open_bin, write_coo
-from repro.perf import ooc
+from repro.perf import jit, ooc
+from repro.perf.jit import build
 from repro.perf.plan_cache import fresh_cache
 
 RTOL = 1e-4
 ATOL = 1e-4
+
+requires_compiler = pytest.mark.skipif(
+    (shutil.which("gcc") is None and shutil.which("cc") is None)
+    or not build.jit_enabled(),
+    reason="no C compiler on PATH or REPRO_JIT=0",
+)
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _module_jit_cache(tmp_path_factory):
+    """Compile this module's kernels into a private object cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(build.ENV_JIT_CACHE, str(tmp_path_factory.mktemp("jit")))
+        build.reset()
+        yield
+    build.reset()
+
+
+@pytest.fixture
+def numpy_fallback(monkeypatch):
+    """Pin ``ooc.mttkrp`` to its numpy step path (``REPRO_JIT=0``)."""
+    monkeypatch.setenv(jit.ENV_JIT, "0")
+    build.reset()
+    yield
+    build.reset()
 
 
 @pytest.fixture
@@ -156,9 +184,9 @@ class TestChunkedKernels:
         with ooc.memory_budget("256K"):
             assert ooc.tensor_norm(mm) == pytest.approx(expected, rel=1e-12)
 
-    def test_single_step_is_bit_identical(self, mm_tensor, rng):
-        # One step covering the tensor reproduces the in-RAM reduction
-        # order exactly.
+    def test_single_step_is_bit_identical(self, mm_tensor, rng, numpy_fallback):
+        # One step covering the tensor reproduces the in-RAM numpy
+        # kernel's reduction order exactly.
         mm, tensor = mm_tensor
         factors = [
             np.asarray(rng.standard_normal((s, 3)), dtype=np.float32)
@@ -169,7 +197,10 @@ class TestChunkedKernels:
         np.testing.assert_array_equal(got, mttkrp_coo(tensor, factors, 0))
 
 
+@pytest.mark.usefixtures("numpy_fallback")
 class TestStepPlanCache:
+    """The ``ooc_chunk`` step plans belong to the numpy fallback only."""
+
     def test_warm_sweep_hits_and_reads_values_only(self, mm_tensor, rng):
         mm, tensor = mm_tensor
         factors = [
@@ -183,6 +214,7 @@ class TestStepPlanCache:
                 cold = ooc.mttkrp(mm, factors, 0)
                 misses = cache.misses(ooc.KIND_OOC_CHUNK)
                 warm = ooc.mttkrp(mm, factors, 0)
+            assert misses > 0
             assert cache.misses(ooc.KIND_OOC_CHUNK) == misses
             assert cache.hits(ooc.KIND_OOC_CHUNK) == misses
         np.testing.assert_array_equal(cold, warm)
@@ -198,8 +230,129 @@ class TestStepPlanCache:
             with ooc.memory_budget("256K") as budget:
                 for mode in range(tensor.order):
                     ooc.mttkrp(mm, factors, mode)
-                    assert ooc.plan_lru_bytes() <= budget
+                    assert 0 < ooc.plan_lru_bytes() <= budget
         ooc.reset_plan_lru()
+
+
+# ----------------------------------------------------------------------
+# Compiled step kernel
+# ----------------------------------------------------------------------
+
+_SHAPES = {2: (300, 200), 3: (50, 40, 30), 4: (20, 15, 12, 9)}
+_BIT_NNZ = 12_000
+_BIT_CHUNK_NNZ = 700  # odd-sized file chunks, so steps split them
+
+
+@pytest.fixture(scope="module")
+def bin_tensors(tmp_path_factory):
+    """Per order: a chunked binary tensor path plus its in-RAM twin."""
+    rng = np.random.default_rng(2024)
+    out = {}
+    for order, shape in _SHAPES.items():
+        tensor = CooTensor.random(shape, _BIT_NNZ, rng=rng)
+        path = tmp_path_factory.mktemp("bit") / f"o{order}.bin"
+        write_coo(tensor, path, chunk_nnz=_BIT_CHUNK_NNZ)
+        out[order] = (path, tensor)
+    return out
+
+
+def _budget_for_steps(order: int, rank: int, steps: int) -> int:
+    """A budget whose iteration plan has ``steps`` steps (before the floor)."""
+    step_nnz = -(-_BIT_NNZ // steps)
+    return 2 * ooc.step_bytes_per_nnz(order, rank) * step_nnz
+
+
+@requires_compiler
+class TestCompiledStepKernel:
+    @pytest.mark.parametrize("order", sorted(_SHAPES))
+    @pytest.mark.parametrize("rank", [1, 3, 16])
+    @pytest.mark.parametrize("steps", ["one", "few", "many"])
+    def test_bit_identical_to_in_ram_compiled(self, bin_tensors, order, rank, steps):
+        path, tensor = bin_tensors[order]
+        budget = {
+            "one": 1024**3,
+            "few": _budget_for_steps(order, rank, 3),
+            "many": 1,  # the MIN_STEP_NNZ floor: about a dozen steps
+        }[steps]
+        rng = np.random.default_rng(rank)
+        factors = [
+            rng.standard_normal((s, rank)).astype(np.float32)
+            for s in tensor.shape
+        ]
+        with open_bin(path) as mm:
+            plan = ooc.iteration_plan(mm, rank, budget=budget)
+            assert plan.num_chunks == {"one": 1, "few": 3, "many": 12}[steps]
+            if plan.num_chunks > 1:
+                # Some step boundary falls inside a file chunk.
+                assert set(plan.offsets.tolist()) - set(mm.chunk_offsets.tolist())
+            with ooc.memory_budget(budget):
+                for mode in range(order):
+                    expected = jit.mttkrp_coo(tensor, factors, mode)
+                    assert expected is not None
+                    got = ooc.mttkrp(mm, factors, mode)
+                    assert got.dtype == expected.dtype
+                    np.testing.assert_array_equal(got, expected)
+
+    def test_builds_no_step_plans(self, mm_tensor, rng):
+        mm, tensor = mm_tensor
+        factors = [
+            np.asarray(rng.standard_normal((s, 5)), dtype=np.float32)
+            for s in tensor.shape
+        ]
+        ooc.reset_plan_lru()
+        with fresh_cache() as cache, ooc.memory_budget("256K"):
+            assert ooc.iteration_plan(mm, 5).num_chunks > 1
+            for mode in range(tensor.order):
+                ooc.mttkrp(mm, factors, mode)
+            assert cache.misses(ooc.KIND_OOC_CHUNK) == 0
+            assert cache.hits(ooc.KIND_OOC_CHUNK) == 0
+        assert ooc.plan_lru_bytes() == 0
+
+
+# ----------------------------------------------------------------------
+# Corrupt coordinates fail loudly on every backend
+# ----------------------------------------------------------------------
+
+
+def _corrupt_index(path, mode: int, element: int, value: int) -> None:
+    """Overwrite one stored int64 coordinate of chunk 0 in place."""
+    with open_bin(path) as mm:
+        offset = int(mm.header["chunks"][0]["offset"])
+        nnz = int(mm.chunk_offsets[1])
+    with open(path, "r+b") as fh:
+        fh.seek(offset + 8 * (mode * nnz + element))
+        fh.write(np.int64(value).tobytes())
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [pytest.param("compiled", marks=requires_compiler), "numpy"],
+)
+@pytest.mark.parametrize("bad", ["negative", "dim"])
+def test_corrupt_index_raises(tmp_path, monkeypatch, backend, bad):
+    if backend == "numpy":
+        monkeypatch.setenv(jit.ENV_JIT, "0")
+    build.reset()
+    shape = (2, 3, 4)
+    tensor = CooTensor(
+        shape,
+        np.array([[0, 0, 1], [0, 1, 2], [1, 2, 3]]),
+        np.array([1.0, 2.0, 3.0], dtype=np.float32),
+    )
+    factors = [
+        np.arange(s * 2, dtype=np.float32).reshape(s, 2) + 1 for s in shape
+    ]
+    path = tmp_path / "t.bin"
+    write_coo(tensor, path)
+    with open_bin(path) as mm:
+        clean = ooc.mttkrp(mm, factors, 0)
+    np.testing.assert_allclose(clean, mttkrp_coo(tensor, factors, 0))
+    _corrupt_index(path, 1, 2, -1 if bad == "negative" else shape[1])
+    with open_bin(path) as mm:  # default open: no eager checksum pass
+        for mode in range(len(shape)):
+            with pytest.raises(BinaryFormatError, match=r"mode 1 .*element 2"):
+                ooc.mttkrp(mm, factors, mode)
+    build.reset()
 
 
 class TestOutOfCoreCpAls:
