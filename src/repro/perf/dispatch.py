@@ -2,54 +2,78 @@
 
 Generic :func:`mttkrp` / :func:`ttv` / :func:`ttm` entry points that
 accept a *variant* — ``"coo"``, ``"hicoo"``, ``"csf"``, a compiled
-``"coo_jit"`` / ``"hicoo_jit"``, an in-kernel multithreaded
-``"coo_jit_mt"`` / ``"hicoo_jit_mt"`` (see :mod:`repro.perf.jit`), an
-explicit
+``"coo_jit"`` / ``"hicoo_jit"`` (see :mod:`repro.perf.jit`), an explicit
 :class:`~repro.perf.autotune.TuneConfig`, or ``"auto"`` to delegate the
-choice to the autotuner.  The auto path and a direct invocation of the
-winning configuration execute byte-identical code (:func:`run_config` is
-the single executor both go through), so ``variant="auto"`` results are
-exactly equal to the chosen variant's results by construction.
+choice to the autotuner.  A config's thread count and schedule are the
+whole execution choice: a compiled variant at one thread runs its
+serial kernel, at more threads the C thread team.  The auto path and a
+direct invocation of the winning configuration execute byte-identical
+code (:func:`run_config` is the single executor both go through), so
+``variant="auto"`` results are exactly equal to the chosen variant's
+results by construction.
 
-Core kernels are imported inside functions: ``repro.core`` modules import
+Core kernels are resolved lazily: ``repro.core`` modules import
 ``repro.perf.parallel`` at module scope, so importing them here at module
 scope would create an import cycle.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Union
+import functools
+import importlib
+from typing import Any, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..errors import PastaError
-from .autotune import CSF_KERNELS, TUNED_KERNELS, TuneConfig, decide
+from .autotune import TUNED_KERNELS, TuneConfig, decide
 from .parallel import get_num_threads, get_schedule, parallel_config
 
-VARIANTS = (
-    "auto",
-    "coo",
-    "hicoo",
-    "csf",
-    "coo_jit",
-    "hicoo_jit",
-    "coo_jit_mt",
-    "hicoo_jit_mt",
-)
+VARIANTS = ("auto", "coo", "hicoo", "csf", "coo_jit", "hicoo_jit")
 
-#: Downgrade target of each compiled variant when the JIT declines (no
-#: compiler, ``REPRO_JIT=0``, unsupported specialization), so stale
-#: cached tuning decisions stay runnable.  The multithreaded variants
-#: chain: ``coo_jit_mt -> coo_jit -> coo`` (an ``_mt`` config on a
-#: JIT-less machine lands on numpy after two steps).
-JIT_FALLBACK = {
-    "coo_jit_mt": "coo_jit",
-    "hicoo_jit_mt": "hicoo_jit",
-    "coo_jit": "coo",
-    "hicoo_jit": "hicoo",
+#: Numpy twin of each compiled variant: when the compiled entry returns
+#: ``None`` (no compiler, ``REPRO_JIT=0``, unsupported specialization),
+#: the twin runs instead, so cached tuning decisions stay runnable.
+JIT_FALLBACK = {"coo_jit": "coo", "hicoo_jit": "hicoo"}
+
+#: Every implementation, keyed by ``(kernel, variant)``: the defining
+#: module, the function, and the input it takes — ``"coo"`` (the COO
+#: view), ``"hicoo"`` (the HiCOO conversion at the config's block size),
+#: or ``"block"`` (the COO view plus a ``block_size`` keyword).
+_IMPLS = {
+    ("MTTKRP", "coo"): ("..core.mttkrp", "mttkrp_coo", "coo"),
+    ("MTTKRP", "hicoo"): ("..core.mttkrp", "mttkrp_hicoo", "hicoo"),
+    ("MTTKRP", "csf"): ("..core.csf_kernels", "mttkrp_csf", "coo"),
+    ("MTTKRP", "coo_jit"): (".jit", "mttkrp_coo", "coo"),
+    ("MTTKRP", "hicoo_jit"): (".jit", "mttkrp_hicoo", "hicoo"),
+    ("TTV", "coo"): ("..core.ttv", "ttv_coo", "coo"),
+    ("TTV", "hicoo"): ("..core.ttv", "ttv_hicoo", "block"),
+    ("TTV", "csf"): ("..core.csf_kernels", "ttv_csf", "coo"),
+    ("TTV", "coo_jit"): (".jit", "ttv_coo", "coo"),
+    ("TTM", "coo"): ("..core.ttm", "ttm_coo", "coo"),
+    ("TTM", "hicoo"): ("..core.ttm", "ttm_hicoo", "block"),
+    ("TTM", "coo_jit"): (".jit", "ttm_coo", "coo"),
+}
+
+#: The ``KernelOperands`` field each kernel consumes.
+_OPERAND = {
+    "MTTKRP": ("factors", "factor matrices"),
+    "TTV": ("vector", "a vector operand"),
+    "TTM": ("matrix", "a matrix operand"),
 }
 
 VariantLike = Union[str, TuneConfig]
+
+
+def supports(kernel: str, variant: str) -> bool:
+    """Whether ``variant`` has an implementation of ``kernel``."""
+    return (kernel.upper(), variant) in _IMPLS
+
+
+@functools.lru_cache(maxsize=None)
+def _function(kernel: str, variant: str) -> Callable:
+    module, name, _ = _IMPLS[kernel, variant]
+    return getattr(importlib.import_module(module, __package__), name)
 
 
 def _as_coo(x: Any):
@@ -99,17 +123,10 @@ def resolve_config(
         raise PastaError(f"unknown variant {name!r}; use one of {VARIANTS}")
     if name == "auto":
         return decide(x, kernel, mode=mode, rank=rank, seed=seed, probe=probe)
-    if name == "csf" and kernel not in CSF_KERNELS:
-        raise PastaError(f"kernel {kernel!r} has no CSF implementation")
-    if name in JIT_FALLBACK:
-        from .autotune import JIT_VARIANT_KERNELS
-
-        if kernel not in JIT_VARIANT_KERNELS.get(name, ()):
-            raise PastaError(
-                f"kernel {kernel!r} has no {name} implementation"
-            )
+    if not supports(kernel, name):
+        raise PastaError(f"kernel {kernel!r} has no {name} implementation")
     policy, _ = get_schedule()
-    if name in ("hicoo", "hicoo_jit", "hicoo_jit_mt"):
+    if name.startswith("hicoo"):
         from ..formats.hicoo import DEFAULT_BLOCK_SIZE, check_block_size
 
         block = check_block_size(block_size or DEFAULT_BLOCK_SIZE)
@@ -131,120 +148,39 @@ def run_config(
     This is the single executor behind both ``variant="auto"`` and the
     tuner's micro-probes, which is what makes auto-dispatch results
     bit-identical to a direct invocation of the winning configuration.
+    A compiled variant whose entry returns ``None`` runs its numpy twin
+    (:data:`JIT_FALLBACK`).
     """
     kernel = kernel.upper()
-    coo = _as_coo(x)
     variant = config.variant
+    if not supports(kernel, variant):
+        raise PastaError(
+            f"no implementation for kernel {kernel!r} variant {variant!r}"
+        )
+    field, what = _OPERAND[kernel]
+    operand = getattr(operands, field)
+    if operand is None:
+        raise PastaError(f"{kernel} dispatch needs {what}")
+    if kernel == "MTTKRP":
+        operand = list(operand)
+    coo = _as_coo(x)
     with parallel_config(num_threads=config.num_threads, schedule=config.schedule):
-        if kernel == "MTTKRP":
-            factors = operands.factors
-            if factors is None:
-                raise PastaError("MTTKRP dispatch needs factor matrices")
-            if variant == "coo_jit_mt":
-                from . import jit
+        result = _call(kernel, variant, coo, config, operand, mode)
+        if result is None and variant in JIT_FALLBACK:
+            result = _call(kernel, JIT_FALLBACK[variant], coo, config, operand, mode)
+    return result
 
-                result = jit.mttkrp_coo_mt(coo, list(factors), mode)
-                if result is not None:
-                    return result
-                variant = "coo_jit"
-            if variant == "hicoo_jit_mt":
-                from . import jit
 
-                result = jit.mttkrp_hicoo_mt(
-                    _hicoo(coo, config), list(factors), mode
-                )
-                if result is not None:
-                    return result
-                variant = "hicoo_jit"
-            if variant == "coo_jit":
-                from . import jit
-
-                result = jit.mttkrp_coo(coo, list(factors), mode)
-                if result is not None:
-                    return result
-                variant = "coo"
-            if variant == "hicoo_jit":
-                from . import jit
-
-                result = jit.mttkrp_hicoo(
-                    _hicoo(coo, config), list(factors), mode
-                )
-                if result is not None:
-                    return result
-                variant = "hicoo"
-            if variant == "coo":
-                from ..core.mttkrp import mttkrp_coo
-
-                return mttkrp_coo(coo, list(factors), mode)
-            if variant == "hicoo":
-                from ..core.mttkrp import mttkrp_hicoo
-
-                return mttkrp_hicoo(_hicoo(coo, config), list(factors), mode)
-            if variant == "csf":
-                from ..core.csf_kernels import mttkrp_csf
-
-                return mttkrp_csf(coo, list(factors), mode)
-        elif kernel == "TTV":
-            if operands.vector is None:
-                raise PastaError("TTV dispatch needs a vector operand")
-            if variant == "coo_jit_mt":
-                from . import jit
-
-                result = jit.ttv_coo_mt(coo, operands.vector, mode)
-                if result is not None:
-                    return result
-                variant = "coo_jit"
-            if variant == "coo_jit":
-                from . import jit
-
-                result = jit.ttv_coo(coo, operands.vector, mode)
-                if result is not None:
-                    return result
-                variant = "coo"
-            if variant == "coo":
-                from ..core.ttv import ttv_coo
-
-                return ttv_coo(coo, operands.vector, mode)
-            if variant == "hicoo":
-                from ..core.ttv import ttv_hicoo
-
-                return ttv_hicoo(
-                    coo, operands.vector, mode, block_size=_block(config)
-                )
-            if variant == "csf":
-                from ..core.csf_kernels import ttv_csf
-
-                return ttv_csf(coo, operands.vector, mode)
-        elif kernel == "TTM":
-            if operands.matrix is None:
-                raise PastaError("TTM dispatch needs a matrix operand")
-            if variant == "coo_jit_mt":
-                from . import jit
-
-                result = jit.ttm_coo_mt(coo, operands.matrix, mode)
-                if result is not None:
-                    return result
-                variant = "coo_jit"
-            if variant == "coo_jit":
-                from . import jit
-
-                result = jit.ttm_coo(coo, operands.matrix, mode)
-                if result is not None:
-                    return result
-                variant = "coo"
-            if variant == "coo":
-                from ..core.ttm import ttm_coo
-
-                return ttm_coo(coo, operands.matrix, mode)
-            if variant == "hicoo":
-                from ..core.ttm import ttm_hicoo
-
-                return ttm_hicoo(
-                    coo, operands.matrix, mode, block_size=_block(config)
-                )
-    raise PastaError(
-        f"no implementation for kernel {kernel!r} variant {variant!r}"
-    )
+def _call(
+    kernel: str, variant: str, coo: Any, config: TuneConfig, operand: Any, mode: int
+) -> Any:
+    fn = _function(kernel, variant)
+    form = _IMPLS[kernel, variant][2]
+    if form == "hicoo":
+        return fn(_hicoo(coo, config), operand, mode)
+    if form == "block":
+        return fn(coo, operand, mode, block_size=_block(config))
+    return fn(coo, operand, mode)
 
 
 def _block(config: TuneConfig) -> int:

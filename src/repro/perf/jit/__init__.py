@@ -8,6 +8,10 @@ and call it through ctypes with the same plans, partitions, and
 sanitizer ownership declarations as the interpreted path
 (:mod:`~repro.perf.jit.kernels`).
 
+Each kernel has one compiled entry point per format; the ambient thread
+count decides whether it runs serial or hands its chunk table to the
+compiled ``_par`` entry's C thread team in one call.
+
 Everything degrades gracefully: with no C compiler on PATH, with
 ``REPRO_JIT=0``, or for an unsupported specialization, every entry
 point reports unavailable / returns ``None`` and callers keep the numpy
@@ -41,15 +45,11 @@ from .build import (
 from .kernels import (
     mttkrp_coo,
     mttkrp_coo_accumulator,
-    mttkrp_coo_mt,
     mttkrp_gram_coo,
     mttkrp_hicoo,
-    mttkrp_hicoo_mt,
     tew_values,
     ttm_coo,
-    ttm_coo_mt,
     ttv_coo,
-    ttv_coo_mt,
 )
 
 __all__ = [
@@ -73,13 +73,9 @@ __all__ = [
     "reset",
     "mttkrp_coo",
     "mttkrp_coo_accumulator",
-    "mttkrp_coo_mt",
     "mttkrp_gram_coo",
     "mttkrp_hicoo",
-    "mttkrp_hicoo_mt",
     "tew_values",
     "ttm_coo",
-    "ttm_coo_mt",
     "ttv_coo",
-    "ttv_coo_mt",
 ]

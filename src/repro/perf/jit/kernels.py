@@ -8,26 +8,20 @@ chunk plans, and sanitizer ownership declarations as the numpy path:
 
 * MTTKRP consumes the cached mode-sort plan and partitions by output
   segments (``grain="segment"``, key ``plan.mode``);
+* HiCOO MTTKRP partitions the ownership plan's output windows
+  (``grain="window"``, :func:`repro.perf.plans.build_hicoo_ownership_plan`);
 * TTV/TTM consume the cached fiber partition and partition by fibers
   (``grain="fiber"``, keys ``("ttv", mode)`` / ``("ttm", mode)``);
 * TEW partitions the nonzero range (``grain="nonzero"``).
 
-Parallel chunks call the same compiled function as the serial path on
-their own ``[u0, u1)`` unit range, so parallel JIT results are
-bit-identical to serial JIT results; ctypes releases the GIL around
-each call, so the worker pool gets true concurrency.
-
-The ``*_mt`` entry points go one step further: they hand the *entire*
-chunk table to the compiled ``_par`` entry, which runs an in-process
-thread team (OpenMP or pthreads, chosen at compile time) — one ctypes
-call per kernel invocation instead of one per chunk, with no
-interpreter involvement between chunks.  HiCOO MTTKRP becomes
-parallelizable through the ownership plan
-(:func:`repro.perf.plans.build_hicoo_ownership_plan`), which regroups
-blocks into disjoint output windows.  Under ``REPRO_SANITIZE=1`` the
-``*_mt`` functions drop back to the chunk-at-a-time executor so the
-write sanitizer can observe per-chunk ownership, preserving the checked
-semantics bit-for-bit.
+The ambient thread count picks one of three routes (:func:`_run_units`):
+the serial kernel when the chunk plan has at most one chunk; otherwise
+one ctypes call to the kernel's ``_par`` entry, which runs the whole
+chunk table on a C thread team (OpenMP or pthreads, chosen at compile
+time); and, only under ``REPRO_SANITIZE=1``, the chunk-at-a-time
+executor calling the serial kernel per chunk so the write sanitizer can
+check each chunk's ownership declaration.  Chunks own disjoint output
+slices, so all three routes store bit-identical results.
 """
 
 from __future__ import annotations
@@ -80,6 +74,13 @@ def _par_argtypes(serial_argtypes: Sequence) -> list:
     return [_I64, _PTR_I64, _I64, _I32] + list(serial_argtypes[2:])
 
 
+def _load(name: str, source: str, argtypes: Sequence, parallel: bool):
+    """The serial entry ``name`` or, with ``parallel``, its ``_par`` twin."""
+    if parallel:
+        return build.load_function(name + "_par", source, _par_argtypes(argtypes))
+    return build.load_function(name, source, argtypes)
+
+
 def _sched_kind(policy: str) -> int:
     """Map an executor policy to the C team's schedule kind.
 
@@ -102,6 +103,40 @@ def _team_call(par_fn, chunks: ChunkPlan, *tail) -> None:
     )
 
 
+def _run_units(
+    fn,
+    par_fn: Callable[[], Optional[Callable]],
+    num_units: int,
+    chunks: Optional[ChunkPlan],
+    args: tuple,
+    *,
+    kernel: str,
+    grain: str,
+    outputs: tuple,
+) -> None:
+    """Run the compiled kernel ``fn`` over units ``[0, num_units)``.
+
+    Serial when there is at most one chunk; chunk by chunk through the
+    executor under the write sanitizer, so ``outputs`` ownership is
+    checked; otherwise one call to the ``_par`` entry that ``par_fn``
+    resolves (lazily, so serial calls never generate it).
+    """
+    if chunks is None or chunks.num_chunks <= 1:
+        fn(0, num_units, *args)
+    elif sanitizer_enabled():
+
+        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
+            fn(u0, u1, *args)
+
+        run_chunks(chunks, task, kernel=kernel, grain=grain, outputs=outputs)
+    else:
+        team = par_fn()
+        if team is None:
+            fn(0, num_units, *args)
+        else:
+            _team_call(team, chunks, *args)
+
+
 # ----------------------------------------------------------------------
 # MTTKRP
 # ----------------------------------------------------------------------
@@ -116,11 +151,32 @@ def _mttkrp_coo_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F32]
     )
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(name, source, argtypes, parallel)
+
+
+def _segments(x: CooTensor, factors: Sequence[np.ndarray], mode: int):
+    """Mode-sort plan and the marshaled segment arguments of COO MTTKRP.
+
+    Returns ``(plan, chunks, args)``: ``args`` is every kernel argument
+    after the unit range except the output array(s).
+    """
+    plan = mode_sort_plan(x, mode)
+    if plan is None:
+        plan = build_mode_sort_plan(x, mode)
+    offsets = _i64(plan.segment_offsets())
+    sorted_indices = plan.sorted_indices
+    non_mode = [m for m in range(len(x.shape)) if m != mode]
+    args = (
+        offsets,
+        _i32(plan.unique_targets),
+        _f32(plan.sorted_values(x.values)),
+        *(_i32(sorted_indices[m]) for m in non_mode),
+        *(_f32(factors[m]) for m in non_mode),
+    )
+    chunks = kernel_chunk_plan(
+        x, grain="segment", key=plan.mode, element_offsets=offsets
+    )
+    return plan, chunks, args
 
 
 def mttkrp_coo(
@@ -129,7 +185,9 @@ def mttkrp_coo(
     """Compiled segmented COO MTTKRP; ``None`` when JIT is unavailable.
 
     Accepts COO and HiCOO owners (the mode-sort plan expands HiCOO
-    coordinates exactly as the numpy kernel does).
+    coordinates exactly as the numpy kernel does).  Chunks own disjoint
+    output segments, so every thread count and schedule stores the
+    serial result bit for bit.
     """
     from ...core.mttkrp import check_factors
 
@@ -144,89 +202,18 @@ def mttkrp_coo(
     fn = _mttkrp_coo_fn(order, rank)
     if fn is None:
         return None
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    targets = _i32(plan.unique_targets)
-    sorted_values = _f32(plan.sorted_values(x.values))
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(order) if m != mode]
-    idx_arrays = [_i32(sorted_indices[m]) for m in non_mode]
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
+    plan, chunks, args = _segments(x, factors, mode)
+    targets = args[1]
     out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    tail = (*idx_arrays, *fac_arrays, out)
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
-    if chunks is None:
-        fn(0, plan.num_segments, offsets, targets, sorted_values, *tail)
-        return out
-
-    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        fn(u0, u1, offsets, targets, sorted_values, *tail)
-
-    run_chunks(
+    _run_units(
+        fn,
+        lambda: _mttkrp_coo_fn(order, rank, parallel=True),
+        plan.num_segments,
         chunks,
-        task,
+        (*args, out),
         kernel="MTTKRP-COO-JIT",
         grain="segment",
         outputs=((out, ("rows", targets)),),
-    )
-    return out
-
-
-def mttkrp_coo_mt(
-    x: CooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[np.ndarray]:
-    """In-kernel multithreaded COO MTTKRP; ``None`` when unavailable.
-
-    One ctypes call hands the full chunk table to the compiled thread
-    team.  Chunks own disjoint output segments, so the result is
-    bit-identical to :func:`mttkrp_coo` (serial or chunked) for every
-    thread count and schedule.  Serial-sized inputs and sanitized runs
-    delegate to :func:`mttkrp_coo`.
-    """
-    from ...core.mttkrp import check_factors
-
-    order = len(x.shape)
-    if order < 2:
-        return None
-    mode = x.check_mode(mode)
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    par_fn = _mttkrp_coo_fn(order, rank, parallel=True)
-    if par_fn is None:
-        return None
-    if sanitizer_enabled():
-        return mttkrp_coo(x, factors, mode)
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return mttkrp_coo(x, factors, mode)
-    targets = _i32(plan.unique_targets)
-    sorted_values = _f32(plan.sorted_values(x.values))
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(order) if m != mode]
-    idx_arrays = [_i32(sorted_indices[m]) for m in non_mode]
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
-    out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    _team_call(
-        par_fn,
-        chunks,
-        offsets,
-        targets,
-        sorted_values,
-        *idx_arrays,
-        *fac_arrays,
-        out,
     )
     return out
 
@@ -287,43 +274,6 @@ def _mttkrp_hicoo_fn(order: int, rank: int):
     return build.load_function(name, source, argtypes)
 
 
-def mttkrp_hicoo(
-    x: HicooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[np.ndarray]:
-    """Compiled blocked HiCOO MTTKRP (Algorithm 3), serial over blocks."""
-    from ...core.mttkrp import check_factors
-
-    order = x.order
-    if order < 2:
-        return None
-    mode = mode % order
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    fn = _mttkrp_hicoo_fn(order, rank)
-    if fn is None:
-        return None
-    non_mode = [m for m in range(order) if m != mode]
-    pairs = []
-    for m in (*non_mode, mode):  # codegen convention: output mode last
-        pairs.append(_i32(x.binds[m]))
-        pairs.append(np.ascontiguousarray(x.einds[m]))
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
-    out = np.zeros((x.shape[mode], rank), dtype=np.float64)
-    fn(
-        0,
-        x.num_blocks,
-        _i64(x.bptr),
-        int(x.block_size),
-        _f32(x.values),
-        *pairs,
-        *fac_arrays,
-        out,
-    )
-    return out.astype(VALUE_DTYPE)
-
-
 def _mttkrp_hicoo_own_fn(order: int, rank: int, parallel: bool = False):
     name, source = codegen.mttkrp_hicoo_owned_source(order, rank)
     k = order - 1
@@ -333,46 +283,22 @@ def _mttkrp_hicoo_own_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F64]
     )
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(name, source, argtypes, parallel)
 
 
-def mttkrp_hicoo_mt(
-    x: HicooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[np.ndarray]:
-    """Ownership-partitioned multithreaded HiCOO MTTKRP.
+def _window_chunks(x: HicooTensor, mode: int):
+    """``(ownership plan, window chunks)`` for a parallel call, else ``None``.
 
-    The ownership plan regroups blocks by their output-window block
-    coordinate with a stable sort, so windows own disjoint
-    ``block_size`` output row ranges and the per-row double accumulation
-    order matches :func:`mttkrp_hicoo` exactly — parallel results are
-    bit-identical to the serial blocked kernel.  Single-window tensors
-    and serial-sized inputs delegate to :func:`mttkrp_hicoo`; sanitized
-    runs go through the chunk-at-a-time executor with the ``row_blocks``
-    ownership declaration so every write is checked.
+    Consulted before anything is built: a call that runs serial (one
+    thread, a serial-sized tensor, no JIT) never pays for the plan.
     """
-    from ...core.mttkrp import check_factors
-
-    order = x.order
-    if order < 2:
-        return None
-    mode = mode % order
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    own_fn = _mttkrp_hicoo_own_fn(order, rank)
-    par_fn = _mttkrp_hicoo_own_fn(order, rank, parallel=True)
-    if own_fn is None or par_fn is None:
+    if not want_parallel(x.nnz) or not build.jit_available():
         return None
     plan = hicoo_ownership_plan(x, mode)
     if plan is None:
         plan = build_hicoo_ownership_plan(x, mode)
     if plan.num_windows <= 1:
-        return mttkrp_hicoo(x, factors, mode)
+        return None
     chunks = kernel_chunk_plan(
         x,
         grain="window",
@@ -380,45 +306,70 @@ def mttkrp_hicoo_mt(
         element_offsets=plan.element_offsets,
     )
     if chunks is None or chunks.num_chunks <= 1:
-        return mttkrp_hicoo(x, factors, mode)
+        return None
+    return plan, chunks
+
+
+def mttkrp_hicoo(
+    x: HicooTensor, factors: Sequence[np.ndarray], mode: int
+) -> Optional[np.ndarray]:
+    """Compiled blocked HiCOO MTTKRP (Algorithm 3); ``None`` when unavailable.
+
+    Serial calls walk the blocks in storage order.  Parallel calls walk
+    the ownership plan, which regroups blocks by their output-window
+    block coordinate with a stable sort: windows own disjoint
+    ``block_size`` output row ranges and every row accumulates in the
+    serial order, so results are bit-identical at any thread count and
+    schedule.  Sanitized parallel calls declare ``row_blocks``
+    ownership so every write is checked.
+    """
+    from ...core.mttkrp import check_factors
+
+    order = x.order
+    if order < 2:
+        return None
+    mode = x.check_mode(mode)
+    factors = check_factors(x.shape, factors)
+    rank = factors[0].shape[1]
+    if rank < 1:
+        return None
+    owned = _window_chunks(x, mode)
+    if owned is None:
+        fn = _mttkrp_hicoo_fn(order, rank)
+    else:
+        fn = _mttkrp_hicoo_own_fn(order, rank)
+    if fn is None:
+        return None
     non_mode = [m for m in range(order) if m != mode]
     pairs = []
     for m in (*non_mode, mode):  # codegen convention: output mode last
         pairs.append(_i32(x.binds[m]))
         pairs.append(np.ascontiguousarray(x.einds[m]))
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
     out = np.zeros((x.shape[mode], rank), dtype=np.float64)
-    head = (
-        _i64(plan.win_ptr),
-        _i64(plan.block_perm),
+    args = (
         _i64(x.bptr),
         int(x.block_size),
         _f32(x.values),
+        *pairs,
+        *(_f32(factors[m]) for m in non_mode),
+        out,
     )
-    tail = (*pairs, *fac_arrays, out)
-    if sanitizer_enabled():
-
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            own_fn(u0, u1, *head, *tail)
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="MTTKRP-HiCOO-JIT-MT",
-            grain="window",
-            outputs=(
-                (
-                    out,
-                    (
-                        "row_blocks",
-                        plan.window_targets,
-                        int(x.block_size),
-                    ),
-                ),
-            ),
-        )
-    else:
-        _team_call(par_fn, chunks, *head, *tail)
+    if owned is None:
+        fn(0, x.num_blocks, *args)
+        return out.astype(VALUE_DTYPE)
+    plan, chunks = owned
+    _run_units(
+        fn,
+        lambda: _mttkrp_hicoo_own_fn(order, rank, parallel=True),
+        plan.num_windows,
+        chunks,
+        (_i64(plan.win_ptr), _i64(plan.block_perm), *args),
+        kernel="MTTKRP-HiCOO-JIT",
+        grain="window",
+        outputs=(
+            (out, ("row_blocks", plan.window_targets, int(x.block_size))),
+        ),
+    )
     return out.astype(VALUE_DTYPE)
 
 
@@ -431,11 +382,7 @@ def _mttkrp_gram_fn(order: int, rank: int, parallel: bool = False):
         + [_PTR_F32] * k
         + [_PTR_F32, _PTR_F64]
     )
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(name, source, argtypes, parallel)
 
 
 def mttkrp_gram_coo(
@@ -463,21 +410,8 @@ def mttkrp_gram_coo(
     serial_fn = _mttkrp_gram_fn(order, rank)
     if serial_fn is None:
         return None
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    targets = _i32(plan.unique_targets)
-    sorted_values = _f32(plan.sorted_values(x.values))
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(order) if m != mode]
-    idx_arrays = [_i32(sorted_indices[m]) for m in non_mode]
-    fac_arrays = [_f32(factors[m]) for m in non_mode]
+    plan, chunks, args = _segments(x, factors, mode)
     out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    tail = (*idx_arrays, *fac_arrays, out)
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
     par_fn = (
         _mttkrp_gram_fn(order, rank, parallel=True)
         if chunks is not None and chunks.num_chunks > 1
@@ -485,20 +419,10 @@ def mttkrp_gram_coo(
     )
     if par_fn is None or sanitizer_enabled():
         gram = np.zeros((rank, rank), dtype=np.float64)
-        serial_fn(
-            0,
-            plan.num_segments,
-            offsets,
-            targets,
-            sorted_values,
-            *tail,
-            gram,
-        )
+        serial_fn(0, plan.num_segments, *args, out, gram)
         return out, gram
     grams = np.zeros((chunks.num_chunks, rank, rank), dtype=np.float64)
-    _team_call(
-        par_fn, chunks, offsets, targets, sorted_values, *tail, grams
-    )
+    _team_call(par_fn, chunks, *args, out, grams)
     return out, grams.sum(axis=0, dtype=np.float64)
 
 
@@ -510,15 +434,15 @@ def mttkrp_gram_coo(
 def _ttv_fn(parallel: bool = False):
     name, source = codegen.ttv_source()
     argtypes = [_I64, _I64, _PTR_I64, _PTR_F32, _PTR_I32, _PTR_F32, _PTR_F64]
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(name, source, argtypes, parallel)
 
 
 def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> Optional[CooTensor]:
-    """Compiled fiber-grain COO TTV; same output object shape as numpy."""
+    """Compiled fiber-grain COO TTV; same output object shape as numpy.
+
+    Fibers own disjoint output slots, so any schedule and thread count
+    reproduces the serial reduction exactly.
+    """
     from ...core.ttv import _check_vector
 
     mode = x.check_mode(mode)
@@ -538,68 +462,25 @@ def ttv_coo(x: CooTensor, v: np.ndarray, mode: int) -> Optional[CooTensor]:
             validate=False,
         )
     fptr = _i64(fptr)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    vec = _f32(v)
     sums = np.empty(num_fibers, dtype=np.float64)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttv", mode), element_offsets=fptr
+    _run_units(
+        fn,
+        lambda: _ttv_fn(parallel=True),
+        num_fibers,
+        kernel_chunk_plan(
+            x, grain="fiber", key=("ttv", mode), element_offsets=fptr
+        ),
+        (
+            fptr,
+            _f32(ordered.values),
+            _i32(ordered.indices[mode]),
+            _f32(v),
+            sums,
+        ),
+        kernel="TTV-COO-JIT",
+        grain="fiber",
+        outputs=((sums, "unit"),),
     )
-    if chunks is None:
-        fn(0, num_fibers, fptr, values, product_indices, vec, sums)
-    else:
-
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            fn(u0, u1, fptr, values, product_indices, vec, sums)
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTV-COO-JIT",
-            grain="fiber",
-            outputs=((sums, "unit"),),
-        )
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return CooTensor(
-        out_shape, out_indices, sums.astype(VALUE_DTYPE), validate=False
-    )
-
-
-def ttv_coo_mt(
-    x: CooTensor, v: np.ndarray, mode: int
-) -> Optional[CooTensor]:
-    """In-kernel multithreaded COO TTV; bit-identical to :func:`ttv_coo`.
-
-    Fibers own disjoint output slots, so any schedule and thread count
-    reproduces the serial reduction exactly.  Serial-sized inputs and
-    sanitized runs delegate to :func:`ttv_coo`.
-    """
-    from ...core.ttv import _check_vector
-
-    mode = x.check_mode(mode)
-    v = _check_vector(x.shape[mode], v)
-    par_fn = _ttv_fn(parallel=True)
-    if par_fn is None:
-        return None
-    if sanitizer_enabled():
-        return ttv_coo(x, v, mode)
-    ordered, fptr = x.fiber_partition(mode)
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return ttv_coo(x, v, mode)
-    fptr = _i64(fptr)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttv", mode), element_offsets=fptr
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return ttv_coo(x, v, mode)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    vec = _f32(v)
-    sums = np.empty(num_fibers, dtype=np.float64)
-    _team_call(par_fn, chunks, fptr, values, product_indices, vec, sums)
-    other_modes = [m for m in range(x.order) if m != mode]
-    out_shape = tuple(x.shape[m] for m in other_modes)
     out_indices = ordered.indices[other_modes][:, fptr[:-1]]
     return CooTensor(
         out_shape, out_indices, sums.astype(VALUE_DTYPE), validate=False
@@ -609,15 +490,15 @@ def ttv_coo_mt(
 def _ttm_fn(rank: int, parallel: bool = False):
     name, source = codegen.ttm_source(rank)
     argtypes = [_I64, _I64, _PTR_I64, _PTR_F32, _PTR_I32, _PTR_F32, _PTR_F64]
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(name, source, argtypes, parallel)
 
 
 def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int):
-    """Compiled fiber-grain COO TTM returning the numpy kernel's sCOO."""
+    """Compiled fiber-grain COO TTM returning the numpy kernel's sCOO.
+
+    Same fiber-ownership argument as :func:`ttv_coo`: bit-identical at
+    any thread count and schedule.
+    """
     from ...core.ttm import _check_matrix
     from ...formats.scoo import SemiSparseCooTensor
 
@@ -642,70 +523,25 @@ def ttm_coo(x: CooTensor, matrix: np.ndarray, mode: int):
             np.empty((0, rank), dtype=VALUE_DTYPE),
         )
     fptr = _i64(fptr)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    mat = _f32(matrix)
     rows = np.empty((num_fibers, rank), dtype=np.float64)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttm", mode), element_offsets=fptr
+    _run_units(
+        fn,
+        lambda: _ttm_fn(rank, parallel=True),
+        num_fibers,
+        kernel_chunk_plan(
+            x, grain="fiber", key=("ttm", mode), element_offsets=fptr
+        ),
+        (
+            fptr,
+            _f32(ordered.values),
+            _i32(ordered.indices[mode]),
+            _f32(matrix),
+            rows,
+        ),
+        kernel="TTM-COO-JIT",
+        grain="fiber",
+        outputs=((rows, "unit"),),
     )
-    if chunks is None:
-        fn(0, num_fibers, fptr, values, product_indices, mat, rows)
-    else:
-
-        def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-            fn(u0, u1, fptr, values, product_indices, mat, rows)
-
-        run_chunks(
-            chunks,
-            task,
-            kernel="TTM-COO-JIT",
-            grain="fiber",
-            outputs=((rows, "unit"),),
-        )
-    out_indices = ordered.indices[other_modes][:, fptr[:-1]]
-    return SemiSparseCooTensor(
-        out_shape, [mode], out_indices, rows.astype(VALUE_DTYPE)
-    )
-
-
-def ttm_coo_mt(x: CooTensor, matrix: np.ndarray, mode: int):
-    """In-kernel multithreaded COO TTM; bit-identical to :func:`ttm_coo`.
-
-    Same fiber-ownership argument as :func:`ttv_coo_mt`; serial-sized
-    inputs and sanitized runs delegate to :func:`ttm_coo`.
-    """
-    from ...core.ttm import _check_matrix
-    from ...formats.scoo import SemiSparseCooTensor
-
-    mode = x.check_mode(mode)
-    matrix = _check_matrix(x.shape[mode], matrix)
-    rank = matrix.shape[1]
-    if rank < 1:
-        return None
-    par_fn = _ttm_fn(rank, parallel=True)
-    if par_fn is None:
-        return None
-    if sanitizer_enabled():
-        return ttm_coo(x, matrix, mode)
-    ordered, fptr = x.fiber_partition(mode)
-    num_fibers = len(fptr) - 1
-    if num_fibers == 0:
-        return ttm_coo(x, matrix, mode)
-    fptr = _i64(fptr)
-    chunks = kernel_chunk_plan(
-        x, grain="fiber", key=("ttm", mode), element_offsets=fptr
-    )
-    if chunks is None or chunks.num_chunks <= 1:
-        return ttm_coo(x, matrix, mode)
-    values = _f32(ordered.values)
-    product_indices = _i32(ordered.indices[mode])
-    mat = _f32(matrix)
-    rows = np.empty((num_fibers, rank), dtype=np.float64)
-    _team_call(par_fn, chunks, fptr, values, product_indices, mat, rows)
-    out_shape = list(x.shape)
-    out_shape[mode] = rank
-    other_modes = [m for m in range(x.order) if m != mode]
     out_indices = ordered.indices[other_modes][:, fptr[:-1]]
     return SemiSparseCooTensor(
         out_shape, [mode], out_indices, rows.astype(VALUE_DTYPE)
@@ -720,11 +556,7 @@ def ttm_coo_mt(x: CooTensor, matrix: np.ndarray, mode: int):
 def _tew_fn(op: str, parallel: bool = False):
     name, source = codegen.tew_source(op)
     argtypes = [_I64, _I64, _PTR_F32, _PTR_F32, _PTR_F32]
-    if parallel:
-        return build.load_function(
-            name + "_par", source, _par_argtypes(argtypes)
-        )
-    return build.load_function(name, source, argtypes)
+    return _load(name, source, argtypes, parallel)
 
 
 def tew_values(
@@ -745,23 +577,15 @@ def tew_values(
     fn = _tew_fn(op)
     if fn is None:
         return None
-    xs = _f32(x_values)
-    ys = _f32(y_values)
     out = np.empty(nnz, dtype=VALUE_DTYPE)
-    chunks = kernel_chunk_plan(None, grain="nonzero", total_elements=nnz)
-    if chunks is None:
-        fn(0, nnz, xs, ys, out)
-        return out
-    if not sanitizer_enabled() and chunks.num_chunks > 1:
-        par_fn = _tew_fn(op, parallel=True)
-        if par_fn is not None:
-            _team_call(par_fn, chunks, xs, ys, out)
-            return out
-
-    def task(chunk: int, u0: int, u1: int, e0: int, e1: int) -> None:
-        fn(e0, e1, xs, ys, out)
-
-    run_chunks(
-        chunks, task, kernel=kernel, grain="nonzero", outputs=((out, "element"),)
+    _run_units(
+        fn,
+        lambda: _tew_fn(op, parallel=True),
+        nnz,
+        kernel_chunk_plan(None, grain="nonzero", total_elements=nnz),
+        (_f32(x_values), _f32(y_values), out),
+        kernel=kernel,
+        grain="nonzero",
+        outputs=((out, "element"),),
     )
     return out

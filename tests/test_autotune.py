@@ -92,21 +92,25 @@ class TestCandidates:
         variants = {c.variant for c in configs}
         expected = {"coo", "hicoo", "csf"}
         if jit.jit_available():
-            expected |= {"coo_jit", "hicoo_jit", "coo_jit_mt", "hicoo_jit_mt"}
+            expected |= {"coo_jit", "hicoo_jit"}
         assert variants == expected
         blocks = {c.block_size for c in configs if c.variant == "hicoo"}
         assert blocks == set(BLOCK_SIZES)
         assert all(c.num_threads >= 1 for c in configs)
-        # The in-kernel multithreaded variants only exist at T>1 (their
-        # T=1 execution is exactly the serial *_jit candidate) and the
-        # hicoo one sweeps the block size of its ownership partition.
-        mt = [c for c in configs if c.variant.endswith("_jit_mt")]
+        # Each compiled variant spans the same grid as its numpy twin:
+        # one serial config plus every policy at each thread count above
+        # one, and hicoo_jit repeats that for every block size.
+        def grid(variant):
+            return sorted(
+                (c.block_size or 0, c.num_threads, c.schedule)
+                for c in configs
+                if c.variant == variant
+            )
+
         if jit.jit_available():
-            assert mt and all(c.num_threads > 1 for c in mt)
-            mt_blocks = {
-                c.block_size for c in mt if c.variant == "hicoo_jit_mt"
-            }
-            assert mt_blocks == set(BLOCK_SIZES)
+            assert grid("coo_jit") == grid("coo")
+            assert grid("hicoo_jit") == grid("hicoo")
+            assert len(grid("hicoo_jit")) == len(BLOCK_SIZES) * (1 + 2 * 3)
 
     def test_jit_variants_absent_when_disabled(self, monkeypatch):
         from repro.perf import jit
@@ -222,6 +226,52 @@ class TestDiskCache:
             tune(tensor, "MTTKRP", probe=False)
         assert not tune_cache.exists()
 
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            {"variant": "hicoo_jit_mt", "block_size": 128, "num_threads": 2},
+            {"variant": "coo", "block_size": None, "num_threads": 0},
+            {"variant": "csf", "block_size": None, "num_threads": 1},
+            {"variant": "hicoo", "block_size": 48, "num_threads": 1},
+            {"variant": "coo", "block_size": None, "schedule": "fastest"},
+        ],
+        ids=["retired-variant", "zero-threads", "kernel-lacks-variant",
+             "bad-block", "bad-schedule"],
+    )
+    def test_unrunnable_entry_is_retuned(
+        self, tensor, factors, tune_cache, stale, monkeypatch
+    ):
+        # An entry this build cannot run is a miss: auto dispatch
+        # re-tunes, overwrites the entry and returns the right answer.
+        monkeypatch.setenv(autotune.ENV_BUDGET_MS, "1")
+        monkeypatch.setenv(autotune.ENV_TOPK, "2")
+        if stale["variant"] == "csf":
+            kernel, rank = "TTM", 6
+            operand = factors[0][:, :rank].copy()
+        else:
+            kernel, rank = "MTTKRP", 8
+        with fresh_cache():
+            key = autotune._disk_key(
+                tensor_fingerprint(tensor), machine_signature(), kernel, 0, rank
+            )
+        config = {"schedule": "dynamic", **stale}
+        tune_cache.write_text(
+            json.dumps({"version": 1, "entries": {key: {"config": config}}})
+        )
+        reload_disk_cache()
+        with fresh_cache():
+            if kernel == "MTTKRP":
+                out = dispatch.mttkrp(tensor, factors, 0, variant="auto")
+                reference = mttkrp_coo(tensor, factors, 0)
+            else:
+                out = dispatch.ttm(tensor, operand, 0, variant="auto").values
+                reference = ttm_coo(tensor, operand, 0).values
+        report = autotune.last_tuning_report()
+        assert report.cache_hit is None and report.probes_run > 0
+        np.testing.assert_allclose(out, reference, rtol=1e-4, atol=1e-5)
+        stored = json.loads(tune_cache.read_text())["entries"][key]["config"]
+        assert stored == report.chosen.to_dict()
+
     def test_cache_path_override(self, tune_cache):
         assert tuning_cache_path() == tune_cache
 
@@ -299,6 +349,15 @@ class TestDispatch:
     def test_unknown_variant_rejected(self, tensor):
         with pytest.raises(PastaError):
             dispatch.resolve_config(tensor, "MTTKRP", variant="cxx")
+
+    @pytest.mark.parametrize(
+        "variant", [v for v in dispatch.VARIANTS if v != "auto"]
+    )
+    def test_mode_equal_to_order_raises(self, tensor, factors, variant):
+        # An out-of-range mode must never wrap around to a valid one.
+        with disk_cache_disabled(), fresh_cache():
+            with pytest.raises(PastaError):
+                dispatch.mttkrp(tensor, factors, tensor.order, variant=variant)
 
     def test_hicoo_input_accepted(self, tensor, factors):
         hicoo = HicooTensor.from_coo(tensor, 32)

@@ -1,14 +1,16 @@
-"""Tests for in-kernel multithreaded JIT execution (``*_jit_mt``).
+"""Tests for multithreaded compiled execution (``coo_jit`` / ``hicoo_jit``).
 
-The ``*_jit_mt`` entry points hand the entire chunk table to a C thread
-team in a single ctypes call.  The contract under test here:
+Above one thread each compiled entry point hands its entire chunk table
+to a C thread team in a single ctypes call.  The contract under test
+here:
 
-- bit-identical outputs to the serial compiled kernels at every thread
-  count and schedule (the output-ownership partition's guarantee);
-- green under ``REPRO_SANITIZE=1`` (checked-serial delegation, plus the
-  dedicated row-block ownership path for the HiCOO variant);
-- the full fallback chain (``*_jit_mt`` → ``*_jit`` → numpy) when the
-  toolchain is hidden or the JIT is disabled;
+- bit-identical outputs to the same entry point at one thread, at every
+  thread count and schedule (the output-ownership partition's
+  guarantee);
+- green and exact under ``REPRO_SANITIZE=1``, where the chunk executor
+  checks each chunk's ownership (row blocks for the HiCOO variant);
+- the ``jit → numpy`` fallback when the toolchain is hidden or the JIT
+  is disabled;
 - the fused MTTKRP+Gram kernel, its CP-ALS wiring, and the parallel
   cutover heuristic that keeps small tensors serial;
 - the toolchain identity + OpenMP availability components of the
@@ -34,6 +36,7 @@ from repro.perf.parallel import (
     get_min_nnz_per_thread,
     get_min_parallel_nnz,
     kernel_chunk_plan,
+    last_parallel_report,
     max_parallel_workers,
     parallel_config,
     set_min_nnz_per_thread,
@@ -103,7 +106,7 @@ class TestBitExactness:
         with parallel_config(
             num_threads=threads, schedule=schedule, min_parallel_nnz=0
         ):
-            mt = jit.mttkrp_coo_mt(tensor3, factors3, 1)
+            mt = jit.mttkrp_coo(tensor3, factors3, 1)
         assert mt is not None
         assert np.array_equal(serial, mt)
 
@@ -117,7 +120,7 @@ class TestBitExactness:
         with parallel_config(
             num_threads=threads, schedule=schedule, min_parallel_nnz=0
         ):
-            mt = jit.mttkrp_hicoo_mt(hicoo, factors3, 0)
+            mt = jit.mttkrp_hicoo(hicoo, factors3, 0)
         assert mt is not None
         assert np.array_equal(serial, mt)
 
@@ -128,7 +131,7 @@ class TestBitExactness:
             serial = jit.ttv_coo(tensor3, v, 1)
         assert serial is not None
         with parallel_config(num_threads=threads, min_parallel_nnz=0):
-            mt = jit.ttv_coo_mt(tensor3, v, 1)
+            mt = jit.ttv_coo(tensor3, v, 1)
         assert mt is not None
         _assert_same_output(serial, mt)
 
@@ -138,7 +141,7 @@ class TestBitExactness:
             serial = jit.ttm_coo(tensor3, factors3[2], 2)
         assert serial is not None
         with parallel_config(num_threads=threads, min_parallel_nnz=0):
-            mt = jit.ttm_coo_mt(tensor3, factors3[2], 2)
+            mt = jit.ttm_coo(tensor3, factors3[2], 2)
         assert mt is not None
         _assert_same_output(serial, mt)
 
@@ -152,7 +155,7 @@ class TestBitExactness:
         for mode in range(order):
             reference = np_mttkrp_coo(tensor, factors, mode)
             with parallel_config(num_threads=4, min_parallel_nnz=0):
-                mt = jit.mttkrp_coo_mt(tensor, factors, mode)
+                mt = jit.mttkrp_coo(tensor, factors, mode)
             assert mt is not None
             np.testing.assert_allclose(mt, reference, rtol=RTOL, atol=ATOL)
 
@@ -163,7 +166,7 @@ class TestBitExactness:
         hicoo = HicooTensor.from_coo(tensor3, 8)
         reference = np_mttkrp_hicoo(hicoo, factors3, 0)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            mt = jit.mttkrp_hicoo_mt(hicoo, factors3, 0)
+            mt = jit.mttkrp_hicoo(hicoo, factors3, 0)
         assert mt is not None
         np.testing.assert_allclose(mt, reference, rtol=RTOL, atol=ATOL)
 
@@ -173,8 +176,8 @@ class TestBitExactness:
         ttv_ref = np_ttv_coo(tensor4, v, 1)
         ttm_ref = np_ttm_coo(tensor4, factors[2], 2)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            ttv_mt = jit.ttv_coo_mt(tensor4, v, 1)
-            ttm_mt = jit.ttm_coo_mt(tensor4, factors[2], 2)
+            ttv_mt = jit.ttv_coo(tensor4, v, 1)
+            ttm_mt = jit.ttm_coo(tensor4, factors[2], 2)
         assert ttv_mt is not None and ttm_mt is not None
         assert ttv_ref.allclose(ttv_mt, rtol=RTOL, atol=ATOL)
         np.testing.assert_allclose(
@@ -192,23 +195,32 @@ class TestSanitizer:
     def test_mt_kernels_green_and_exact_under_sanitizer(
         self, tensor3, factors3, monkeypatch
     ):
+        hicoo = HicooTensor.from_coo(tensor3, 8)
+        v = factors3[1][:, 0].copy()
         with parallel_config(num_threads=1):
             serial = jit.mttkrp_coo(tensor3, factors3, 0)
-        hicoo = HicooTensor.from_coo(tensor3, 8)
-        with parallel_config(num_threads=1):
             serial_h = jit.mttkrp_hicoo(hicoo, factors3, 0)
+            serial_ttv = jit.ttv_coo(tensor3, v, 1)
+            serial_ttm = jit.ttm_coo(tensor3, factors3[2], 2)
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            mt = jit.mttkrp_coo_mt(tensor3, factors3, 0)
-            mt_h = jit.mttkrp_hicoo_mt(hicoo, factors3, 0)
-            ttv_mt = jit.ttv_coo_mt(tensor3, factors3[1][:, 0].copy(), 1)
+            mt = jit.mttkrp_coo(tensor3, factors3, 0)
+            mt_h = jit.mttkrp_hicoo(hicoo, factors3, 0)
+            # The row-block HiCOO route went through the checked
+            # chunk executor, not the unobservable C team.
+            report = last_parallel_report()
+            ttv_mt = jit.ttv_coo(tensor3, v, 1)
+            ttm_mt = jit.ttm_coo(tensor3, factors3[2], 2)
         assert mt is not None and np.array_equal(serial, mt)
         assert mt_h is not None and np.array_equal(serial_h, mt_h)
-        assert ttv_mt is not None
+        assert report is not None and report.kernel == "MTTKRP-HiCOO-JIT"
+        assert report.num_chunks > 1
+        _assert_same_output(serial_ttv, ttv_mt)
+        _assert_same_output(serial_ttm, ttm_mt)
 
 
 # ----------------------------------------------------------------------
-# Fallback chain: jit_mt -> jit -> numpy
+# Fallback: jit -> numpy
 # ----------------------------------------------------------------------
 
 
@@ -219,11 +231,11 @@ class TestFallbackChain:
         monkeypatch.setattr(shutil, "which", lambda name: None)
         build.reset()
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            assert jit.mttkrp_coo_mt(tensor3, factors3, 0) is None
-            assert jit.ttv_coo_mt(tensor3, factors3[1][:, 0], 1) is None
-            assert jit.ttm_coo_mt(tensor3, factors3[2], 2) is None
+            assert jit.mttkrp_coo(tensor3, factors3, 0) is None
+            assert jit.ttv_coo(tensor3, factors3[1][:, 0], 1) is None
+            assert jit.ttm_coo(tensor3, factors3[2], 2) is None
             hicoo = HicooTensor.from_coo(tensor3, 8)
-            assert jit.mttkrp_hicoo_mt(hicoo, factors3, 0) is None
+            assert jit.mttkrp_hicoo(hicoo, factors3, 0) is None
             assert jit.mttkrp_gram_coo(tensor3, factors3, 0) is None
 
     def test_dispatch_falls_back_to_numpy_without_toolchain(
@@ -232,7 +244,8 @@ class TestFallbackChain:
         reference = np_mttkrp_coo(tensor3, factors3, 0)
         monkeypatch.setattr(shutil, "which", lambda name: None)
         build.reset()
-        out = dispatch.mttkrp(tensor3, factors3, 0, variant="coo_jit_mt")
+        with parallel_config(num_threads=4, min_parallel_nnz=0):
+            out = dispatch.mttkrp(tensor3, factors3, 0, variant="coo_jit")
         assert np.array_equal(out, reference)
 
     def test_dispatch_falls_back_when_disabled(
@@ -243,9 +256,10 @@ class TestFallbackChain:
         reference = np_mttkrp_hicoo(
             HicooTensor.from_coo(tensor3, 8), factors3, 0
         )
-        out = dispatch.mttkrp(
-            tensor3, factors3, 0, variant="hicoo_jit_mt", block_size=8
-        )
+        with parallel_config(num_threads=4, min_parallel_nnz=0):
+            out = dispatch.mttkrp(
+                tensor3, factors3, 0, variant="hicoo_jit", block_size=8
+            )
         assert np.array_equal(out, reference)
 
     @requires_compiler
@@ -262,7 +276,7 @@ class TestFallbackChain:
         with parallel_config(num_threads=1):
             serial = jit.mttkrp_coo(tensor3, factors3, 0)
         with parallel_config(num_threads=4, min_parallel_nnz=0):
-            mt = jit.mttkrp_coo_mt(tensor3, factors3, 0)
+            mt = jit.mttkrp_coo(tensor3, factors3, 0)
         assert serial is not None and mt is not None
         assert np.array_equal(serial, mt)
 
@@ -274,34 +288,63 @@ class TestFallbackChain:
 
 @requires_compiler
 class TestDispatchIntegration:
-    def test_variants_enumerate_mt(self):
-        assert "coo_jit_mt" in dispatch.VARIANTS
-        assert "hicoo_jit_mt" in dispatch.VARIANTS
-        assert dispatch.JIT_FALLBACK["coo_jit_mt"] == "coo_jit"
-        assert dispatch.JIT_FALLBACK["hicoo_jit_mt"] == "hicoo_jit"
+    def test_variants_one_per_format(self):
+        assert dispatch.VARIANTS == (
+            "auto", "coo", "hicoo", "csf", "coo_jit", "hicoo_jit"
+        )
+        assert dispatch.JIT_FALLBACK == {"coo_jit": "coo", "hicoo_jit": "hicoo"}
 
     def test_explicit_mt_variant_matches_direct_call(self, tensor3, factors3):
         with parallel_config(
             num_threads=4, schedule="static", min_parallel_nnz=0
         ):
-            direct = jit.mttkrp_coo_mt(tensor3, factors3, 0)
+            direct = jit.mttkrp_coo(tensor3, factors3, 0)
             dispatched = dispatch.mttkrp(
-                tensor3, factors3, 0, variant="coo_jit_mt"
+                tensor3, factors3, 0, variant="coo_jit"
+            )
+            config = dispatch.resolve_config(
+                tensor3, "MTTKRP", variant="coo_jit"
             )
         assert direct is not None
         assert np.array_equal(direct, dispatched)
+        assert (config.num_threads, config.schedule) == (4, "static")
 
     def test_hicoo_mt_rejects_unsupported_kernel(self, tensor3, factors3):
         from repro.errors import PastaError
 
-        with pytest.raises(PastaError, match="no hicoo_jit_mt"):
-            dispatch.ttm(tensor3, factors3[2], 2, variant="hicoo_jit_mt")
+        with parallel_config(num_threads=4):
+            with pytest.raises(PastaError, match="no hicoo_jit"):
+                dispatch.ttm(tensor3, factors3[2], 2, variant="hicoo_jit")
 
     def test_auto_candidate_space_includes_mt(self):
-        from repro.perf.autotune import candidate_configs
+        from repro.perf.autotune import BLOCK_SIZES, candidate_configs
 
-        variants = {c.variant for c in candidate_configs("MTTKRP", max_threads=4)}
-        assert {"coo_jit_mt", "hicoo_jit_mt"} <= variants
+        configs = candidate_configs("MTTKRP", max_threads=4)
+        threaded = {c.variant for c in configs if c.num_threads > 1}
+        assert {"coo_jit", "hicoo_jit"} <= threaded
+        blocks = {
+            c.block_size
+            for c in configs
+            if c.variant == "hicoo_jit" and c.num_threads > 1
+        }
+        assert blocks == set(BLOCK_SIZES)
+
+    def test_serial_hicoo_builds_no_ownership_plan(self, tensor3, factors3):
+        from repro.perf import fresh_cache
+        from repro.perf.plans import KIND_HICOO_OWNERSHIP
+
+        with fresh_cache() as cache:
+            with parallel_config(num_threads=1):
+                serial = dispatch.mttkrp(
+                    tensor3, factors3, 0, variant="hicoo_jit", block_size=8
+                )
+            assert cache.misses(KIND_HICOO_OWNERSHIP) == 0
+            with parallel_config(num_threads=4, min_parallel_nnz=0):
+                team = dispatch.mttkrp(
+                    tensor3, factors3, 0, variant="hicoo_jit", block_size=8
+                )
+            assert cache.misses(KIND_HICOO_OWNERSHIP) == 1
+        assert np.array_equal(serial, team)
 
     def test_thread_candidates_respect_ambient_threads(self):
         from repro.perf.autotune import candidate_configs
@@ -312,8 +355,9 @@ class TestDispatchIntegration:
 
     def test_auto_selects_mt_and_matches_direct(self, rng):
         # Model-only tuning on a tensor big enough that the parallel
-        # model term dominates: the winner must be an in-kernel mt
-        # config, and variant="auto" must equal the direct call bitwise.
+        # model term dominates: the winner must be a compiled config on
+        # the C team, and variant="auto" must equal the direct call
+        # bitwise.
         from repro.perf.autotune import disk_cache_disabled, tune
 
         tensor = CooTensor.random((80, 70, 60), 60_000, rng=rng)
@@ -324,7 +368,8 @@ class TestDispatchIntegration:
                     tensor, "MTTKRP", rank=8, probe=False, use_disk_cache=False
                 )
                 chosen = report.chosen
-                assert chosen.variant.endswith("_jit_mt")
+                assert chosen.variant.endswith("_jit")
+                assert chosen.num_threads > 1
                 auto = dispatch.mttkrp(
                     tensor, factors, 0, variant="auto", probe=False
                 )
