@@ -164,10 +164,7 @@ def bench_jit_team_kernel(name, run, reps):
             if threads == 1:
                 continue  # one thread runs the serial kernel
             with parallel_config(
-                num_threads=threads,
-                schedule=policy,
-                min_parallel_nnz=0,
-                min_nnz_per_thread=0,
+                num_threads=threads, schedule=policy, min_parallel_nnz=0
             ):
                 out = run()
                 if out is None:

@@ -491,10 +491,7 @@ def _run_jit_parallel(tensor: CooTensor, config: Dict[str, Any]) -> Optional[str
         with parallel_config(num_threads=1):
             serial = run()
         with parallel_config(
-            num_threads=threads,
-            schedule=schedule,
-            min_parallel_nnz=0,
-            min_nnz_per_thread=0,
+            num_threads=threads, schedule=schedule, min_parallel_nnz=0
         ):
             team = run()
         if serial is None or team is None:

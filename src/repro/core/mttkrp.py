@@ -336,7 +336,7 @@ def schedule_mttkrp_hicoo(
     order = x.order
     nnz = x.nnz
     nb = x.num_blocks
-    mode = mode % order
+    mode = x.check_mode(mode)
     matrix_rows = min(nb * x.block_size, nnz)
     irregular = 4 * rank * order * matrix_rows
     streamed = (order + 4) * nnz + (4 * order + 8) * nb

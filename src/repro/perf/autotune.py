@@ -38,7 +38,7 @@ import numpy as np
 
 from ..errors import PastaError
 from .cachedir import machine_signature  # noqa: F401 — re-exported API
-from .parallel import get_min_nnz_per_thread, get_num_threads, last_parallel_report
+from .parallel import get_min_parallel_nnz, get_num_threads, last_parallel_report
 from .partition import POLICIES, POLICY_DYNAMIC
 from .plan_cache import cache_enabled, get_plan_cache
 from .timing import budgeted_min_seconds
@@ -635,7 +635,7 @@ def tune(
 
     notes: Dict[str, Any] = {}
     candidates = candidate_configs(kernel, max_threads=max_threads)
-    cutover = get_min_nnz_per_thread()
+    cutover = get_min_parallel_nnz()
     if cutover > 0:
         # Parallel cutover: a candidate that would leave each worker
         # fewer than ``cutover`` nonzeros is a predicted loser (thread
@@ -649,7 +649,7 @@ def tune(
         )
         if len(kept) < len(candidates):
             notes["cutover_dropped"] = len(candidates) - len(kept)
-            notes["min_nnz_per_thread"] = cutover
+            notes["min_parallel_nnz"] = cutover
             candidates = kept
 
     ranked = sorted(

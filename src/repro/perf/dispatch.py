@@ -125,7 +125,7 @@ def resolve_config(
         return decide(x, kernel, mode=mode, rank=rank, seed=seed, probe=probe)
     if not supports(kernel, name):
         raise PastaError(f"kernel {kernel!r} has no {name} implementation")
-    policy, _ = get_schedule()
+    policy = get_schedule()
     if name.startswith("hicoo"):
         from ..formats.hicoo import DEFAULT_BLOCK_SIZE, check_block_size
 

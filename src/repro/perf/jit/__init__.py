@@ -45,7 +45,6 @@ from .build import (
 from .kernels import (
     mttkrp_coo,
     mttkrp_coo_accumulator,
-    mttkrp_gram_coo,
     mttkrp_hicoo,
     tew_values,
     ttm_coo,
@@ -73,7 +72,6 @@ __all__ = [
     "reset",
     "mttkrp_coo",
     "mttkrp_coo_accumulator",
-    "mttkrp_gram_coo",
     "mttkrp_hicoo",
     "tew_values",
     "ttm_coo",

@@ -463,9 +463,13 @@ def load_function(
     and per build profile, so a missing compiler costs one ``which``
     probe, not one subprocess per kernel call, and switching
     ``REPRO_JIT_BUILD`` mid-process never serves an object built under
-    the other profile.  ctypes foreign calls release the GIL, which is
-    what lets the worker pool drive these concurrently.
+    the other profile.  ``REPRO_JIT=0`` is read on every call, ahead of
+    the memo, so switching it off mid-process takes effect at once.
+    ctypes foreign calls release the GIL, which is what lets the worker
+    pool drive these concurrently.
     """
+    if not jit_enabled():
+        return None
     memo_key = (name, build_profile())
     if memo_key in _functions:
         return _functions[memo_key]

@@ -27,7 +27,7 @@ slices, so all three routes store bit-identical results.
 from __future__ import annotations
 
 import ctypes
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -154,31 +154,6 @@ def _mttkrp_coo_fn(order: int, rank: int, parallel: bool = False):
     return _load(name, source, argtypes, parallel)
 
 
-def _segments(x: CooTensor, factors: Sequence[np.ndarray], mode: int):
-    """Mode-sort plan and the marshaled segment arguments of COO MTTKRP.
-
-    Returns ``(plan, chunks, args)``: ``args`` is every kernel argument
-    after the unit range except the output array(s).
-    """
-    plan = mode_sort_plan(x, mode)
-    if plan is None:
-        plan = build_mode_sort_plan(x, mode)
-    offsets = _i64(plan.segment_offsets())
-    sorted_indices = plan.sorted_indices
-    non_mode = [m for m in range(len(x.shape)) if m != mode]
-    args = (
-        offsets,
-        _i32(plan.unique_targets),
-        _f32(plan.sorted_values(x.values)),
-        *(_i32(sorted_indices[m]) for m in non_mode),
-        *(_f32(factors[m]) for m in non_mode),
-    )
-    chunks = kernel_chunk_plan(
-        x, grain="segment", key=plan.mode, element_offsets=offsets
-    )
-    return plan, chunks, args
-
-
 def mttkrp_coo(
     x: CooTensor, factors: Sequence[np.ndarray], mode: int
 ) -> Optional[np.ndarray]:
@@ -202,8 +177,23 @@ def mttkrp_coo(
     fn = _mttkrp_coo_fn(order, rank)
     if fn is None:
         return None
-    plan, chunks, args = _segments(x, factors, mode)
-    targets = args[1]
+    plan = mode_sort_plan(x, mode)
+    if plan is None:
+        plan = build_mode_sort_plan(x, mode)
+    offsets = _i64(plan.segment_offsets())
+    targets = _i32(plan.unique_targets)
+    sorted_indices = plan.sorted_indices
+    non_mode = [m for m in range(order) if m != mode]
+    args = (
+        offsets,
+        targets,
+        _f32(plan.sorted_values(x.values)),
+        *(_i32(sorted_indices[m]) for m in non_mode),
+        *(_f32(factors[m]) for m in non_mode),
+    )
+    chunks = kernel_chunk_plan(
+        x, grain="segment", key=plan.mode, element_offsets=offsets
+    )
     out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
     _run_units(
         fn,
@@ -371,59 +361,6 @@ def mttkrp_hicoo(
         ),
     )
     return out.astype(VALUE_DTYPE)
-
-
-def _mttkrp_gram_fn(order: int, rank: int, parallel: bool = False):
-    name, source = codegen.mttkrp_coo_gram_source(order, rank)
-    k = order - 1
-    argtypes = (
-        [_I64, _I64, _PTR_I64, _PTR_I32, _PTR_F32]
-        + [_PTR_I32] * k
-        + [_PTR_F32] * k
-        + [_PTR_F32, _PTR_F64]
-    )
-    return _load(name, source, argtypes, parallel)
-
-
-def mttkrp_gram_coo(
-    x: CooTensor, factors: Sequence[np.ndarray], mode: int
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Fused compiled MTTKRP + Gram of the output, for CP-ALS.
-
-    Returns ``(out, gram)`` where ``out`` is bit-identical to
-    :func:`mttkrp_coo` and ``gram`` is the float64 ``out.T @ out``
-    accumulated inside the same loop nest (to float-associativity of
-    the reduction order).  Parallel runs give each chunk a private Gram
-    slab and reduce them here, keeping the compiled region atomic-free.
-    ``None`` when the JIT is unavailable.
-    """
-    from ...core.mttkrp import check_factors
-
-    order = len(x.shape)
-    if order < 2:
-        return None
-    mode = x.check_mode(mode)
-    factors = check_factors(x.shape, factors)
-    rank = factors[0].shape[1]
-    if rank < 1:
-        return None
-    serial_fn = _mttkrp_gram_fn(order, rank)
-    if serial_fn is None:
-        return None
-    plan, chunks, args = _segments(x, factors, mode)
-    out = np.zeros((x.shape[mode], rank), dtype=VALUE_DTYPE)
-    par_fn = (
-        _mttkrp_gram_fn(order, rank, parallel=True)
-        if chunks is not None and chunks.num_chunks > 1
-        else None
-    )
-    if par_fn is None or sanitizer_enabled():
-        gram = np.zeros((rank, rank), dtype=np.float64)
-        serial_fn(0, plan.num_segments, *args, out, gram)
-        return out, gram
-    grams = np.zeros((chunks.num_chunks, rank, rank), dtype=np.float64)
-    _team_call(par_fn, chunks, *args, out, grams)
-    return out, grams.sum(axis=0, dtype=np.float64)
 
 
 # ----------------------------------------------------------------------

@@ -26,9 +26,10 @@ Design points:
   prediction, closing the loop between machine models and execution.
 * **Configuration.**  ``set_num_threads()`` / ``REPRO_NUM_THREADS``
   select the worker count (default 1 = serial, the seed behavior),
-  ``set_schedule()`` / ``REPRO_SCHEDULE`` the policy, and small inputs
-  stay serial below ``set_min_parallel_nnz()`` /
-  ``REPRO_PARALLEL_MIN_NNZ`` — for tiny tensors thread dispatch costs
+  ``set_schedule()`` / ``REPRO_SCHEDULE`` the policy, and
+  ``set_min_parallel_nnz()`` / ``REPRO_PARALLEL_MIN_NNZ`` the one
+  cutover: a kernel gets one worker per ``min_parallel_nnz`` elements,
+  so small inputs stay serial — for tiny tensors thread dispatch costs
   more than the kernel itself.
 """
 
@@ -54,14 +55,10 @@ from .partition import (
     chunk_plan_for,
 )
 
-#: Below this many nonzeros a kernel stays serial by default: the numpy
-#: calls finish in microseconds and chunk dispatch would dominate.
+#: Nonzeros each worker must receive by default, so below twice this a
+#: kernel stays serial: the numpy calls finish in microseconds and chunk
+#: dispatch would dominate.
 DEFAULT_MIN_PARALLEL_NNZ = 8192
-
-#: Sentinel distinguishing "leave unchanged" from an explicit ``None``
-#: in :func:`parallel_config` (``min_nnz_per_thread=None`` meaningfully
-#: restores per-thread tracking of the absolute threshold).
-_UNSET = object()
 
 
 def _env_int(name: str, default: int) -> int:
@@ -75,29 +72,7 @@ _NUM_THREADS = max(1, _env_int("REPRO_NUM_THREADS", 1))
 _POLICY = os.environ.get("REPRO_SCHEDULE", POLICY_DYNAMIC)
 if _POLICY not in ("static", "dynamic", "guided"):
     _POLICY = POLICY_DYNAMIC
-_CHUNK_UNITS: Optional[int] = None
 _MIN_PARALLEL_NNZ = max(0, _env_int("REPRO_PARALLEL_MIN_NNZ", DEFAULT_MIN_PARALLEL_NNZ))
-
-
-def _env_optional_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return None
-
-
-#: Minimum nonzeros each would-be worker must receive before the kernel
-#: goes parallel.  ``None`` tracks ``_MIN_PARALLEL_NNZ`` — the knob
-#: that cured the 0.98x two-thread regression in ``BENCH_parallel.json``
-#: without adding a second default to tune: 2 threads need 2x the serial
-#: threshold, 8 threads 8x, and undersized inputs get a *reduced* worker
-#: count rather than a binary serial fallback.
-_MIN_NNZ_PER_THREAD: Optional[int] = _env_optional_int(
-    "REPRO_PARALLEL_MIN_NNZ_PER_THREAD"
-)
 
 
 # ----------------------------------------------------------------------
@@ -121,22 +96,17 @@ def set_num_threads(num_threads: int) -> int:
     return previous
 
 
-def get_schedule() -> Tuple[str, Optional[int]]:
-    """Current ``(policy, chunk_units)`` schedule."""
-    return _POLICY, _CHUNK_UNITS
+def get_schedule() -> str:
+    """Current OpenMP-style schedule policy."""
+    return _POLICY
 
 
-def set_schedule(
-    policy: str, chunk_units: Optional[int] = None
-) -> Tuple[str, Optional[int]]:
-    """Set the OpenMP-style schedule; returns the previous setting."""
-    global _POLICY, _CHUNK_UNITS
+def set_schedule(policy: str) -> str:
+    """Set the OpenMP-style schedule policy; returns the previous one."""
+    global _POLICY
     check_policy(policy)
-    if chunk_units is not None and int(chunk_units) < 1:
-        raise ValueError(f"chunk_units must be positive, got {chunk_units}")
-    previous = (_POLICY, _CHUNK_UNITS)
+    previous = _POLICY
     _POLICY = policy
-    _CHUNK_UNITS = None if chunk_units is None else int(chunk_units)
     return previous
 
 
@@ -156,83 +126,38 @@ def set_min_parallel_nnz(min_nnz: int) -> int:
     return previous
 
 
-def get_min_nnz_per_thread() -> int:
-    """Nonzeros each worker must receive before a kernel parallelizes.
-
-    Defaults to tracking :func:`get_min_parallel_nnz`, so forcing
-    ``min_parallel_nnz=0`` (tests, conformance checks) also disables the
-    per-thread gate unless it was pinned explicitly.
-    """
-    if _MIN_NNZ_PER_THREAD is not None:
-        return _MIN_NNZ_PER_THREAD
-    return _MIN_PARALLEL_NNZ
-
-
-def set_min_nnz_per_thread(min_nnz: Optional[int]) -> Optional[int]:
-    """Pin (or with ``None``, unpin) the per-thread threshold.
-
-    Returns the previous *raw* setting (``None`` when it was tracking
-    the absolute threshold) so callers can restore it exactly.
-    """
-    global _MIN_NNZ_PER_THREAD
-    previous = _MIN_NNZ_PER_THREAD
-    if min_nnz is None:
-        _MIN_NNZ_PER_THREAD = None
-    else:
-        min_nnz = int(min_nnz)
-        if min_nnz < 0:
-            raise ValueError(f"min_nnz must be non-negative, got {min_nnz}")
-        _MIN_NNZ_PER_THREAD = min_nnz
-    return previous
-
-
 def max_parallel_workers(total_elements: int) -> int:
     """Worker count the cutover model allows for this input size.
 
-    ``total // per_thread`` workers, clamped to the configured thread
-    count — an input big enough for 3 productive workers on an 8-thread
-    config runs with 3, and one below ``2x`` the per-thread threshold
-    returns 1 (serial).  A zero per-thread threshold disables the gate.
+    Each worker must receive at least ``min_parallel_nnz`` elements:
+    ``total // min_parallel_nnz`` workers, clamped to the configured
+    thread count — an input big enough for 3 productive workers on an
+    8-thread config runs with 3, and one below twice the threshold
+    returns 1 (serial).  A zero threshold disables the gate.
     """
     if _NUM_THREADS <= 1:
         return 1
-    per_thread = get_min_nnz_per_thread()
-    if per_thread <= 0:
+    if _MIN_PARALLEL_NNZ <= 0:
         return _NUM_THREADS
-    return max(1, min(_NUM_THREADS, int(total_elements) // per_thread))
+    return max(1, min(_NUM_THREADS, int(total_elements) // _MIN_PARALLEL_NNZ))
 
 
 @contextmanager
 def parallel_config(
     num_threads: Optional[int] = None,
     schedule: Optional[str] = None,
-    chunk_units: Optional[int] = None,
     min_parallel_nnz: Optional[int] = None,
-    min_nnz_per_thread: Any = _UNSET,
 ) -> Iterator[None]:
     """Run a block under a temporary parallel configuration.
 
-    ``None`` leaves a knob unchanged, so apps can forward their own
+    ``None`` leaves a setting unchanged, so apps can forward their own
     optional ``num_threads=``/``schedule=`` arguments straight through.
-    The one exception is ``min_nnz_per_thread``, where ``None`` is a
-    meaningful setting (track the absolute threshold) — omit the
-    argument to leave it alone.
     """
     prev_threads = set_num_threads(num_threads) if num_threads is not None else None
-    prev_schedule = (
-        set_schedule(schedule, chunk_units)
-        if schedule is not None or chunk_units is not None
-        else None
-    )
+    prev_schedule = set_schedule(schedule) if schedule is not None else None
     prev_min = (
         set_min_parallel_nnz(min_parallel_nnz)
         if min_parallel_nnz is not None
-        else None
-    )
-    restore_per_thread = min_nnz_per_thread is not _UNSET
-    prev_per_thread = (
-        set_min_nnz_per_thread(min_nnz_per_thread)
-        if restore_per_thread
         else None
     )
     try:
@@ -241,11 +166,9 @@ def parallel_config(
         if prev_threads is not None:
             set_num_threads(prev_threads)
         if prev_schedule is not None:
-            set_schedule(*prev_schedule)
+            set_schedule(prev_schedule)
         if prev_min is not None:
             set_min_parallel_nnz(prev_min)
-        if restore_per_thread:
-            set_min_nnz_per_thread(prev_per_thread)
 
 
 # ----------------------------------------------------------------------
@@ -498,8 +421,7 @@ def want_parallel(total_elements: int) -> bool:
     paying for it.
     """
     return (
-        _NUM_THREADS > 1
-        and total_elements >= max(1, _MIN_PARALLEL_NNZ)
+        total_elements > 0
         and max_parallel_workers(total_elements) > 1
         and not _in_parallel_region()
     )
@@ -533,7 +455,7 @@ def kernel_chunk_plan(
         return None
     workers = min(max_parallel_workers(total), num_units)
     if element_offsets is None:
-        return build_element_chunk_plan(total, workers, _POLICY, _CHUNK_UNITS)
+        return build_element_chunk_plan(total, workers, _POLICY)
     return chunk_plan_for(
         tensor,
         grain=grain,
@@ -541,5 +463,4 @@ def kernel_chunk_plan(
         element_offsets=element_offsets,
         workers=workers,
         policy=_POLICY,
-        chunk_units=_CHUNK_UNITS,
     )

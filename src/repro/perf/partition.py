@@ -21,7 +21,7 @@ reproduces that layer for the executor in :mod:`repro.perf.parallel`:
 Chunk boundaries are index-derived (they depend only on the unit
 offsets, worker count, and policy), so plans are memoized in the
 :mod:`repro.perf.plan_cache` under the structural kind ``"partition"``,
-keyed by ``(grain, mode, workers, policy, chunk_units)``.
+keyed by ``(grain, mode, workers, policy)``.
 """
 
 from __future__ import annotations
@@ -216,19 +216,18 @@ def chunk_plan_for(
     element_offsets: np.ndarray,
     workers: int,
     policy: str = POLICY_DYNAMIC,
-    chunk_units: Optional[int] = None,
     cache: Optional[PlanCache] = None,
 ) -> ChunkPlan:
     """Memoized chunk plan for one tensor's unit structure.
 
-    Keyed by ``(grain, key, workers, policy, chunk_units)`` on top of the
+    Keyed by ``(grain, key, workers, policy)`` on top of the
     tensor's identity, so e.g. CP-ALS pays the partitioning once per
     (mode, worker count) for the whole decomposition.  Falls back to an
     uncached build when caching is disabled.
     """
 
     def build() -> ChunkPlan:
-        return build_chunk_plan(element_offsets, workers, policy, chunk_units)
+        return build_chunk_plan(element_offsets, workers, policy)
 
     if not cache_enabled():
         return build()
@@ -236,6 +235,6 @@ def chunk_plan_for(
     return cache.get(
         tensor,
         KIND_PARTITION,
-        (grain, key, int(workers), policy, chunk_units),
+        (grain, key, int(workers), policy),
         build,
     )

@@ -10,9 +10,9 @@ rank columns at once.
 
 Three implementations with identical semantics:
 
-* :func:`scatter_rows_segmented` — reduceat over a mode sort plan;
-* :func:`scatter_cols_segmented` — the same reduction on a transposed
-  ``(rank, nnz)`` operand whose segments are contiguous (the warm path);
+* :func:`scatter_cols_segmented` — reduceat over a mode sort plan, on a
+  transposed ``(rank, nnz)`` operand whose segments are contiguous (the
+  warm path);
 * :func:`scatter_rows_bincount` — the seed's per-column bincount (the
   uncached fallback; no sort needed);
 * :func:`scatter_rows_add_at` — ``np.add.at`` reference used by tests.
@@ -22,8 +22,6 @@ seed's numerics.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -52,32 +50,18 @@ def scatter_rows_add_at(
     return out
 
 
-def scatter_rows_segmented(
-    plan: ModeSortPlan, sorted_rows: np.ndarray, num_rows: int
-) -> np.ndarray:
-    """Segmented-reduction scatter over rows already in plan sort order.
-
-    ``sorted_rows`` must be permuted by ``plan.perm`` (the kernels build
-    them directly from ``plan.sorted_indices`` so no permute is needed).
-    ``reduceat`` accumulates in float64 even for float32 rows.
-    """
-    out = np.zeros((num_rows, sorted_rows.shape[1]), dtype=np.float64)
-    if plan.num_segments:
-        out[plan.unique_targets] = np.add.reduceat(
-            sorted_rows, plan.segment_starts, axis=0, dtype=np.float64
-        )
-    return out
-
-
 def scatter_cols_segmented(
     plan: ModeSortPlan, sorted_cols: np.ndarray, num_rows: int
 ) -> np.ndarray:
     """Segmented scatter over a ``(rank, nnz)`` column-major operand.
 
-    Same reduction as :func:`scatter_rows_segmented`, but each segment is
-    contiguous in memory (``reduceat`` along axis 1 of a C-contiguous
-    array), which is markedly faster for the wide, shallow shapes MTTKRP
-    produces.  Returns the usual ``(num_rows, rank)`` layout.
+    ``sorted_cols`` must be in ``plan.perm`` order (the kernels build it
+    directly from ``plan.sorted_indices``, so no permute is needed).  Each
+    segment is contiguous in memory (``reduceat`` along axis 1 of a
+    C-contiguous array), which is markedly faster for the wide, shallow
+    shapes MTTKRP produces than a row-major reduction.  ``reduceat``
+    accumulates in float64 even for float32 input.  Returns the usual
+    ``(num_rows, rank)`` layout.
     """
     out = np.zeros((num_rows, sorted_cols.shape[0]), dtype=np.float64)
     if plan.num_segments:
@@ -85,23 +69,3 @@ def scatter_cols_segmented(
             sorted_cols, plan.segment_starts, axis=1, dtype=np.float64
         ).T
     return out
-
-
-def scatter_rows(
-    target_indices: np.ndarray,
-    rows: np.ndarray,
-    num_rows: int,
-    *,
-    plan: Optional[ModeSortPlan] = None,
-) -> np.ndarray:
-    """Scatter-add rank rows into ``num_rows`` output rows.
-
-    With a plan, ``rows`` are permuted into sort order and reduced with
-    ``reduceat``; without one the bincount fallback runs (no sort, same
-    result) — the right choice for one-shot, uncached calls.
-    """
-    if rows.shape[0] == 0:
-        return np.zeros((num_rows, rows.shape[1]), dtype=np.float64)
-    if plan is not None:
-        return scatter_rows_segmented(plan, rows[plan.perm], num_rows)
-    return scatter_rows_bincount(target_indices, rows, num_rows)

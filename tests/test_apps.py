@@ -14,6 +14,7 @@ from repro.apps import (
 )
 from repro.errors import IncompatibleOperandsError
 from repro.formats import CooTensor
+from repro.perf.parallel import parallel_config
 
 
 def orthonormal_columns(size, count, seed=0):
@@ -116,8 +117,21 @@ class TestCpAls:
     def test_hicoo_path_matches_coo(self):
         x = random_low_rank_tensor((25, 20, 15), 3, seed=3)
         coo = cp_als(x, 3, max_sweeps=30, seed=4)
-        hicoo = cp_als(x, 3, max_sweeps=30, seed=4, use_hicoo=True, block_size=8)
+        hicoo = cp_als(x, 3, max_sweeps=30, seed=4, variant="hicoo", block_size=8)
         assert coo.final_fit == pytest.approx(hicoo.final_fit, abs=1e-6)
+
+    @pytest.mark.parametrize("threads", (1, 4))
+    def test_default_is_the_coo_variant(self, threads):
+        x = random_low_rank_tensor((25, 20, 15), 3, seed=3)
+        with parallel_config(min_parallel_nnz=0):
+            default = cp_als(x, 3, max_sweeps=10, seed=4, num_threads=threads)
+            coo = cp_als(
+                x, 3, max_sweeps=10, seed=4, num_threads=threads, variant="coo"
+            )
+        assert np.array_equal(default.weights, coo.weights)
+        assert default.fits == coo.fits
+        for a, b in zip(default.factors, coo.factors):
+            assert np.array_equal(a, b)
 
     def test_reconstruction_error_small(self):
         x = random_low_rank_tensor((15, 15, 15), 2, seed=5)

@@ -106,6 +106,18 @@ class TestAvailability:
         assert jit.mttkrp_coo(tensor3, factors3, 0) is None
         assert not list(jit.object_cache_dir().glob("*.so"))
 
+    @requires_compiler
+    def test_disabling_after_a_compile_takes_effect(self, monkeypatch, rng):
+        x = CooTensor.random((30, 20, 10), 500, rng=rng)
+        factors = make_factors(x.shape, 4, rng)
+        assert jit.mttkrp_coo(x, factors, 0) is not None
+        monkeypatch.setenv(jit.ENV_JIT, "0")
+        assert jit.mttkrp_coo(x, factors, 0) is None
+        np.testing.assert_array_equal(
+            dispatch.mttkrp(x, factors, 0, variant="coo_jit"),
+            dispatch.mttkrp(x, factors, 0, variant="coo"),
+        )
+
     def test_dispatch_falls_back_without_toolchain(
         self, monkeypatch, tensor3, factors3
     ):

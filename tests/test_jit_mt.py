@@ -11,8 +11,7 @@ here:
   checks each chunk's ownership (row blocks for the HiCOO variant);
 - the ``jit → numpy`` fallback when the toolchain is hidden or the JIT
   is disabled;
-- the fused MTTKRP+Gram kernel, its CP-ALS wiring, and the parallel
-  cutover heuristic that keeps small tensors serial;
+- the parallel cutover heuristic that keeps small tensors serial;
 - the toolchain identity + OpenMP availability components of the
   machine signature.
 """
@@ -33,13 +32,13 @@ from repro.formats import CooTensor, HicooTensor
 from repro.perf import cachedir, dispatch, jit
 from repro.perf.jit import build
 from repro.perf.parallel import (
-    get_min_nnz_per_thread,
+    DEFAULT_MIN_PARALLEL_NNZ,
     get_min_parallel_nnz,
     kernel_chunk_plan,
     last_parallel_report,
     max_parallel_workers,
     parallel_config,
-    set_min_nnz_per_thread,
+    set_min_parallel_nnz,
     want_parallel,
 )
 from repro.perf.partition import POLICIES
@@ -236,7 +235,6 @@ class TestFallbackChain:
             assert jit.ttm_coo(tensor3, factors3[2], 2) is None
             hicoo = HicooTensor.from_coo(tensor3, 8)
             assert jit.mttkrp_hicoo(hicoo, factors3, 0) is None
-            assert jit.mttkrp_gram_coo(tensor3, factors3, 0) is None
 
     def test_dispatch_falls_back_to_numpy_without_toolchain(
         self, monkeypatch, tensor3, factors3
@@ -386,128 +384,70 @@ class TestDispatchIntegration:
 
 
 # ----------------------------------------------------------------------
-# Fused MTTKRP+Gram
-# ----------------------------------------------------------------------
-
-
-@requires_compiler
-class TestFusedGram:
-    def test_fused_out_bit_equals_unfused(self, tensor3, factors3):
-        with parallel_config(num_threads=1):
-            unfused = jit.mttkrp_coo(tensor3, factors3, 0)
-            fused = jit.mttkrp_gram_coo(tensor3, factors3, 0)
-        assert fused is not None
-        out, gram = fused
-        assert np.array_equal(out, unfused)
-        reference = out.astype(np.float64).T @ out.astype(np.float64)
-        np.testing.assert_allclose(gram, reference, rtol=1e-10, atol=1e-10)
-
-    @pytest.mark.parametrize("threads", (2, 4, 8))
-    def test_parallel_fused_out_exact_gram_close(
-        self, tensor3, factors3, threads
-    ):
-        with parallel_config(num_threads=1):
-            serial = jit.mttkrp_gram_coo(tensor3, factors3, 0)
-        with parallel_config(
-            num_threads=threads, schedule="static", min_parallel_nnz=0
-        ):
-            parallel = jit.mttkrp_gram_coo(tensor3, factors3, 0)
-        assert serial is not None and parallel is not None
-        # The MTTKRP output is bit-identical (ownership partition); the
-        # Gram reduces per-chunk slabs, so it is tolerance-equal only.
-        assert np.array_equal(serial[0], parallel[0])
-        np.testing.assert_allclose(serial[1], parallel[1], rtol=1e-9, atol=1e-9)
-
-    def test_cp_als_fused_matches_unfused(self):
-        from repro.apps import cp_als, random_low_rank_tensor
-
-        x = random_low_rank_tensor((30, 25, 20), 3, seed=2)
-        base = cp_als(x, 3, max_sweeps=60, tolerance=1e-9, seed=2)
-        fused = cp_als(
-            x, 3, max_sweeps=60, tolerance=1e-9, seed=2, fused_gram=True
-        )
-        assert fused.final_fit == pytest.approx(base.final_fit, abs=1e-6)
-        np.testing.assert_allclose(
-            base.reconstruct_dense(),
-            fused.reconstruct_dense(),
-            rtol=1e-4,
-            atol=1e-4,
-        )
-
-    def test_cp_als_fused_rejects_other_paths(self):
-        from repro.apps import cp_als, random_low_rank_tensor
-
-        x = random_low_rank_tensor((10, 9, 8), 2, seed=1)
-        with pytest.raises(ValueError, match="fused_gram"):
-            cp_als(x, 2, fused_gram=True, use_hicoo=True)
-        with pytest.raises(ValueError, match="fused_gram"):
-            cp_als(x, 2, fused_gram=True, variant="coo")
-
-    def test_cp_als_fused_survives_jit_off(self, monkeypatch):
-        from repro.apps import cp_als, random_low_rank_tensor
-
-        monkeypatch.setenv(jit.ENV_JIT, "0")
-        build.reset()
-        x = random_low_rank_tensor((15, 12, 10), 2, seed=7)
-        result = cp_als(x, 2, max_sweeps=40, tolerance=1e-9, seed=7, fused_gram=True)
-        assert result.final_fit > 0.999
-
-
-# ----------------------------------------------------------------------
 # Parallel cutover heuristic
 # ----------------------------------------------------------------------
 
 
 class TestCutover:
+    """``min_parallel_nnz`` is the one cutover: each worker needs that
+    many elements, so ``T`` threads need ``T * min_parallel_nnz``."""
+
     def test_default_tracks_min_parallel_nnz(self):
-        assert get_min_nnz_per_thread() == get_min_parallel_nnz()
+        floor = get_min_parallel_nnz() or DEFAULT_MIN_PARALLEL_NNZ
+        with parallel_config(num_threads=8, min_parallel_nnz=floor):
+            assert max_parallel_workers(3 * floor) == 3
+            assert not want_parallel(2 * floor - 1)
+            assert want_parallel(2 * floor)
 
     def test_knob_get_set_restore(self):
-        previous = set_min_nnz_per_thread(4096)
+        previous = set_min_parallel_nnz(4096)
         try:
-            assert get_min_nnz_per_thread() == 4096
+            assert get_min_parallel_nnz() == 4096
+            with pytest.raises(ValueError):
+                set_min_parallel_nnz(-1)
         finally:
-            set_min_nnz_per_thread(previous)
-        assert get_min_nnz_per_thread() == get_min_parallel_nnz()
+            set_min_parallel_nnz(previous)
+        assert get_min_parallel_nnz() == previous
 
     def test_env_parsing(self, monkeypatch):
-        from repro.perf.parallel import _env_optional_int
+        from repro.perf.parallel import _env_int
 
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_NNZ_PER_THREAD", "777")
-        assert _env_optional_int("REPRO_PARALLEL_MIN_NNZ_PER_THREAD") == 777
-        monkeypatch.setenv("REPRO_PARALLEL_MIN_NNZ_PER_THREAD", "junk")
-        assert _env_optional_int("REPRO_PARALLEL_MIN_NNZ_PER_THREAD") is None
-        monkeypatch.delenv("REPRO_PARALLEL_MIN_NNZ_PER_THREAD")
-        assert _env_optional_int("REPRO_PARALLEL_MIN_NNZ_PER_THREAD") is None
+        name = "REPRO_PARALLEL_MIN_NNZ"
+        monkeypatch.setenv(name, "777")
+        assert _env_int(name, DEFAULT_MIN_PARALLEL_NNZ) == 777
+        monkeypatch.setenv(name, "junk")
+        assert _env_int(name, DEFAULT_MIN_PARALLEL_NNZ) == DEFAULT_MIN_PARALLEL_NNZ
+        monkeypatch.delenv(name)
+        assert _env_int(name, DEFAULT_MIN_PARALLEL_NNZ) == DEFAULT_MIN_PARALLEL_NNZ
 
     def test_parallel_config_scopes_the_knob(self):
-        with parallel_config(min_nnz_per_thread=123):
-            assert get_min_nnz_per_thread() == 123
-        assert get_min_nnz_per_thread() == get_min_parallel_nnz()
+        before = get_min_parallel_nnz()
+        with parallel_config(min_parallel_nnz=123):
+            assert get_min_parallel_nnz() == 123
+        assert get_min_parallel_nnz() == before
 
     def test_max_parallel_workers_scales_with_size(self):
-        with parallel_config(num_threads=8, min_nnz_per_thread=1000):
+        with parallel_config(num_threads=8, min_parallel_nnz=1000):
             assert max_parallel_workers(500) == 1
             assert max_parallel_workers(2_500) == 2
             assert max_parallel_workers(100_000) == 8
+        with parallel_config(num_threads=8, min_parallel_nnz=0):
+            assert max_parallel_workers(1) == 8
 
     def test_want_parallel_respects_per_thread_floor(self):
         # 2-thread static at ~1x on BENCH_parallel's small configs is
-        # exactly the regression this gate exists for: nnz above the
-        # absolute floor but below 2x the per-thread floor stays serial.
-        with parallel_config(
-            num_threads=2, min_parallel_nnz=1000, min_nnz_per_thread=8000
-        ):
+        # exactly the regression this gate exists for: two threads need
+        # twice the floor, so nnz above it but below 2x stays serial.
+        with parallel_config(num_threads=2, min_parallel_nnz=8000):
             assert not want_parallel(10_000)
-        with parallel_config(
-            num_threads=2, min_parallel_nnz=1000, min_nnz_per_thread=4000
-        ):
+        with parallel_config(num_threads=2, min_parallel_nnz=4000):
             assert want_parallel(10_000)
+        with parallel_config(num_threads=2, min_parallel_nnz=0):
+            assert want_parallel(1)
+            assert not want_parallel(0)
 
     def test_chunk_plan_workers_clamped(self, tensor3):
-        with parallel_config(
-            num_threads=8, min_parallel_nnz=100, min_nnz_per_thread=200
-        ):
+        with parallel_config(num_threads=8, min_parallel_nnz=200):
             chunks = kernel_chunk_plan(
                 tensor3, grain="nonzero", total_elements=tensor3.nnz
             )
@@ -519,7 +459,7 @@ class TestCutover:
     def test_tune_drops_subcutover_parallel_candidates(self, tensor3):
         from repro.perf.autotune import tune
 
-        previous = set_min_nnz_per_thread(10_000)
+        previous = set_min_parallel_nnz(10_000)
         try:
             report = tune(
                 tensor3,
@@ -529,11 +469,11 @@ class TestCutover:
                 max_threads=4,
             )
         finally:
-            set_min_nnz_per_thread(previous)
+            set_min_parallel_nnz(previous)
         assert all(c.config.num_threads == 1 for c in report.candidates)
         assert report.chosen.num_threads == 1
         assert report.notes["cutover_dropped"] > 0
-        assert report.notes["min_nnz_per_thread"] == 10_000
+        assert report.notes["min_parallel_nnz"] == 10_000
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ from repro.core.mttkrp import (
     schedule_mttkrp_hicoo,
 )
 from repro.core.reference import dense_mttkrp
-from repro.errors import IncompatibleOperandsError
+from repro.core.registry import make_schedule
+from repro.errors import IncompatibleOperandsError, ModeError
 from repro.formats import CooTensor, HicooTensor
 
 
@@ -120,6 +121,13 @@ class TestSchedules:
     def test_hicoo_work_units_are_block_occupancies(self, hicoo3):
         s = schedule_mttkrp_hicoo(hicoo3, 1, 16)
         assert np.array_equal(s.work_units, hicoo3.nnz_per_block())
+
+    @pytest.mark.parametrize("name", ["COO-MTTKRP-OMP", "HiCOO-MTTKRP-OMP"])
+    def test_mode_equal_to_order_raises(self, tensor3, name):
+        with pytest.raises(ModeError):
+            make_schedule(name, tensor3, mode=tensor3.order)
+        last = make_schedule(name, tensor3, mode=-1)
+        assert last.flops == make_schedule(name, tensor3, mode=2).flops
 
     def test_conflict_fraction_higher_for_hub_mode(self):
         # All nonzeros share one output row -> conflicts ~ 1.

@@ -177,11 +177,12 @@ class TestExecutor:
             assert get_num_threads() == 3
         finally:
             set_num_threads(previous)
-        prev_schedule = set_schedule("guided", 5)
+        prev_schedule = set_schedule("guided")
         try:
-            assert get_schedule() == ("guided", 5)
+            assert get_schedule() == "guided"
         finally:
-            set_schedule(*prev_schedule)
+            set_schedule(prev_schedule)
+        assert get_schedule() == prev_schedule
         with pytest.raises(ValueError):
             set_num_threads(0)
         with pytest.raises(ValueError):
@@ -191,7 +192,7 @@ class TestExecutor:
         before = (get_num_threads(), get_schedule())
         with parallel_config(num_threads=5, schedule="static"):
             assert get_num_threads() == 5
-            assert get_schedule()[0] == "static"
+            assert get_schedule() == "static"
         assert (get_num_threads(), get_schedule()) == before
 
 

@@ -1,7 +1,7 @@
 """Property tests for the segmented-reduction scatter engine.
 
 The three scatter implementations (seed bincount, ``np.add.at``
-reference, and plan-driven ``reduceat``) must agree on every input,
+reference, and plan-driven column ``reduceat``) must agree on every input,
 including duplicate output rows, single-row outputs, and empty tensors.
 """
 
@@ -13,10 +13,8 @@ import pytest
 from repro.perf import (
     build_mode_sort_plan,
     scatter_cols_segmented,
-    scatter_rows,
     scatter_rows_add_at,
     scatter_rows_bincount,
-    scatter_rows_segmented,
 )
 from repro.formats import CooTensor
 
@@ -25,6 +23,11 @@ def _random_case(rng, nnz, num_rows, rank):
     targets = rng.integers(0, num_rows, size=nnz).astype(np.int32)
     rows = rng.normal(size=(nnz, rank)).astype(np.float32)
     return targets, rows
+
+
+def _cols(plan, rows):
+    """``rows`` in plan sort order as the ``(rank, nnz)`` column operand."""
+    return np.ascontiguousarray(rows[plan.perm].T)
 
 
 def _plan_for_targets(targets, nnz):
@@ -49,12 +52,8 @@ class TestScatterEquivalence:
         via_bincount = scatter_rows_bincount(targets, rows, num_rows)
         via_add_at = scatter_rows_add_at(targets, rows, num_rows)
         plan = _plan_for_targets(targets, nnz)
-        via_reduceat = scatter_rows_segmented(plan, rows[plan.perm], num_rows)
-        via_cols = scatter_cols_segmented(
-            plan, np.ascontiguousarray(rows[plan.perm].T), num_rows
-        )
+        via_cols = scatter_cols_segmented(plan, _cols(plan, rows), num_rows)
         np.testing.assert_allclose(via_bincount, via_add_at, rtol=1e-12)
-        np.testing.assert_allclose(via_reduceat, via_add_at, rtol=1e-12)
         np.testing.assert_allclose(via_cols, via_add_at, rtol=1e-12)
 
     def test_duplicate_rows_accumulate(self, rng):
@@ -62,7 +61,10 @@ class TestScatterEquivalence:
         rows = rng.normal(size=(100, 6)).astype(np.float32)
         targets = np.full(100, 3, dtype=np.int32)
         plan = _plan_for_targets(targets, 100)
-        out = scatter_rows_segmented(plan, rows[plan.perm], 7)
+        out = scatter_cols_segmented(plan, _cols(plan, rows), 7)
+        np.testing.assert_allclose(
+            out, scatter_rows_add_at(targets, rows, 7), rtol=1e-12
+        )
         expected = np.zeros((7, 6))
         expected[3] = rows.astype(np.float64).sum(axis=0)
         np.testing.assert_allclose(out, expected, rtol=1e-6)
@@ -75,20 +77,10 @@ class TestScatterEquivalence:
         for out in (
             scatter_rows_bincount(targets, rows, 9),
             scatter_rows_add_at(targets, rows, 9),
-            scatter_rows_segmented(plan, rows, 9),
             scatter_cols_segmented(plan, rows.T, 9),
-            scatter_rows(targets, rows, 9),
-            scatter_rows(targets, rows, 9, plan=plan),
         ):
             assert out.shape == (9, 4)
             assert not out.any()
-
-    def test_dispatcher_uses_plan(self, rng):
-        targets, rows = _random_case(rng, 300, 40, 5)
-        plan = _plan_for_targets(targets, 300)
-        with_plan = scatter_rows(targets, rows, 40, plan=plan)
-        without = scatter_rows(targets, rows, 40)
-        np.testing.assert_allclose(with_plan, without, rtol=1e-12)
 
     def test_accumulates_in_float64(self, rng):
         # Catastrophic-cancellation probe: f32 accumulation of these rows
@@ -96,9 +88,12 @@ class TestScatterEquivalence:
         rows = np.array([[1e8], [1.0], [-1e8]], dtype=np.float32)
         targets = np.zeros(3, dtype=np.int32)
         plan = _plan_for_targets(targets, 3)
-        out = scatter_rows_segmented(plan, rows[plan.perm], 1)
+        out = scatter_cols_segmented(plan, _cols(plan, rows), 1)
         assert out.dtype == np.float64
         assert out[0, 0] == pytest.approx(1.0)
+        np.testing.assert_array_equal(
+            out, scatter_rows_add_at(targets, rows, 1)
+        )
 
 
 class TestPlanStructure:
